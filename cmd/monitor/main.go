@@ -8,7 +8,7 @@
 // Usage:
 //
 //	monitor -model system.t2m -in trace.csv [-informat csv|events|ftrace]
-//	        [-task comm-pid] [-j N] [-stream] [-q] [-metrics-addr HOST:PORT]
+//	        [-task comm-pid] [-stream] [-q] [-metrics-addr HOST:PORT]
 //
 // With -stream the trace is checked as it is decoded, in memory
 // bounded by the window size — the mode to use when following a long
@@ -64,10 +64,10 @@ import (
 // it names every registered flag, so it cannot drift the way the old
 // hand-maintained synopsis did.
 const usage = `usage: monitor -model system.t2m -in trace.csv [-informat csv|events|ftrace]
-               [-task comm-pid] [-j N] [-stream] [-q] [-metrics-addr HOST:PORT]
+               [-task comm-pid] [-stream] [-q] [-metrics-addr HOST:PORT]
                [-stall-after D] [-synth-cache DIR] [-run-log DIR]
        monitor -model system.t2m -active -system counter|fifo|serial|usbslot
-               [-probe N] [-seed N] [-j N] [-q] [-metrics-addr HOST:PORT]
+               [-probe N] [-seed N] [-q] [-metrics-addr HOST:PORT]
                [-stall-after D] [-synth-cache DIR] [-run-log DIR]
        monitor -live -in trace.csv [-informat csv|events|ftrace] [-task comm-pid]
                [-j N] [-reminimize-every K] [-max-versions N] [-idle-exit D]
@@ -104,7 +104,7 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.in, "in", "", "trace file to check (required; - for stdin)")
 	fs.StringVar(&o.informat, "informat", "", "input format: csv, events, ftrace (default by extension)")
 	fs.StringVar(&o.task, "task", "", "ftrace: task to analyse (comm-pid)")
-	fs.IntVar(&o.workers, "j", 0, "predicate-synthesis workers for trace abstraction (0 = one per CPU, 1 = serial)")
+	fs.IntVar(&o.workers, "j", 0, "solver-portfolio workers for -live relearning (0 = one per CPU, 1 = canonical solver only; results identical)")
 	fs.BoolVar(&o.stream, "stream", false, "check the trace as it streams: bounded memory, same verdict")
 	fs.BoolVar(&o.quiet, "q", false, "suppress the conforming-trace message")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof/ on this address while checking")
@@ -179,7 +179,6 @@ func run(o *options) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-	model.SetWorkers(o.workers)
 
 	// SIGINT/SIGTERM cancel the check at the next observation boundary —
 	// essential when following a live trace on stdin that never ends.
@@ -335,7 +334,6 @@ func runActive(o *options) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-	model.SetWorkers(o.workers)
 	start := time.Now()
 	tel, srv, err := observability(o)
 	if err != nil {

@@ -85,7 +85,7 @@ func main() {
 	flag.IntVar(&cfg.maxStates, "max-states", 0, "state-count cap (0 = 64)")
 	flag.BoolVar(&cfg.noSeg, "no-segmentation", false, "disable segmentation (full-trace mode)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "search timeout (0 = none)")
-	flag.IntVar(&cfg.workers, "j", 0, "predicate-synthesis / solver-portfolio workers (0 = one per CPU, 1 = serial; results identical)")
+	flag.IntVar(&cfg.workers, "j", 0, "solver-portfolio workers: how many -portfolio members run at once (0 = one per CPU, 1 = canonical solver only; results identical)")
 	flag.IntVar(&cfg.portfolio, "portfolio", 0, "race this many SAT solver configurations per solve (0/1 = serial; results identical)")
 	flag.BoolVar(&cfg.stream, "stream", false, "stream the trace: bounded memory, identical model")
 	flag.StringVar(&cfg.checkpointDir, "checkpoint", "", "periodically checkpoint the run into this directory (requires -stream)")

@@ -201,7 +201,7 @@ func TestDifferentialProbeFixpoint(t *testing.T) {
 			}
 			n := in.tr.Len()
 			copts := core.Options{
-				Predicate: predicate.Options{Workers: 1},
+				Predicate: predicate.Options{},
 				Learn:     learn.Options{},
 			}
 			res, err := active.Refine(sys, in.tr, copts, active.Options{

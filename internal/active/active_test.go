@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/learn"
 	"repro/internal/pipeline"
-	"repro/internal/predicate"
 	"repro/internal/systems"
 	"repro/internal/trace"
 )
@@ -82,20 +81,15 @@ func TestRefineReachesPassiveFixpoint(t *testing.T) {
 			seed := full.Slice(0, tc.truncate)
 
 			configs := []struct {
-				label     string
-				workers   int
-				portfolio int
+				label string
+				learn learn.Options
 			}{
-				{"serial-solver-w1", 1, 0},
-				{"parallel-w4", 4, 0},
-				{"portfolio-w4", 4, 2},
+				{"serial", learn.Options{}},
+				{"portfolio-w4", learn.Options{Portfolio: 2, Workers: 4}},
 			}
 			var baseline string
 			for _, cfg := range configs {
-				copts := core.Options{
-					Predicate: predicate.Options{Workers: cfg.workers},
-					Learn:     learn.Options{Portfolio: cfg.portfolio},
-				}
+				copts := core.Options{Learn: cfg.learn}
 				res, err := active.Refine(sys, seed, copts, active.Options{ProbeCap: n})
 				if err != nil {
 					t.Fatalf("%s: %v", cfg.label, err)

@@ -1,11 +1,10 @@
 // Checkpointed streaming ingestion: this file drives LearnSource when
 // core.Options.Checkpoint is enabled. The source is consumed in
 // bounded epochs (Config.Every observations per SequenceSource call);
-// each epoch boundary is a quiescent point — the windower and all its
-// worker goroutines have returned, so the generator, the RLE run log
-// and the consumed-observation count are mutually consistent at any
-// worker count — and that is where ingest-phase checkpoints are
-// written. Epochs change nothing observable: the next epoch's source
+// each epoch boundary is a quiescent point — the windower has
+// returned, so the generator, the RLE run log and the
+// consumed-observation count are mutually consistent — and that is
+// where ingest-phase checkpoints are written. Epochs change nothing observable: the next epoch's source
 // first replays the last w−1 observations (no hashing, no counting) so
 // the first new observation completes exactly the next unprocessed
 // window, and learn.Seq.Append merges runs split at the boundary, so

@@ -123,11 +123,6 @@ type Model struct {
 	pipeline *Pipeline
 }
 
-// SetWorkers sets the worker count the model's predicate generator
-// uses when abstracting further traces (Check); see
-// predicate.Options.Workers.
-func (m *Model) SetWorkers(n int) { m.pipeline.gen.SetWorkers(n) }
-
 // SetTelemetry attaches telemetry to the model's pipeline for the
 // monitoring path (Check/CheckSource on a loaded model).
 func (m *Model) SetTelemetry(tel *pipeline.Telemetry) { m.pipeline.SetTelemetry(tel) }

@@ -108,8 +108,17 @@ func WriteModel(w io.Writer, m *Model) error {
 // ReadModel deserialises a model written by WriteModel. The returned
 // model carries a fresh Pipeline primed with the saved seeds, so Check
 // and Explain behave as on the original.
+//
+// Header counts are untrusted: nothing is sized from them up front.
+// The alphabet grows as its lines are read, and the automaton is only
+// built once the whole model has been read, with a states count no
+// larger than the file's size in bytes. Each state costs the automaton
+// a slot while the file spends bytes on a header, alphabet and
+// generator snapshot, so a file smaller than its state count is
+// damaged or hostile.
 func ReadModel(r io.Reader) (*Model, error) {
-	sc := bufio.NewScanner(r)
+	cr := &countingReader{r: r}
+	sc := bufio.NewScanner(cr)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := func() (string, error) {
 		for sc.Scan() {
@@ -197,18 +206,13 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
-	nfa, err := automaton.New(states, automaton.State(initial))
-	if err != nil {
-		return nil, fmt.Errorf("model: %w", err)
-	}
 
 	nAlpha, err := intField("alphabet")
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
-	symbols := make([]string, nAlpha)
-	alphabet := make(map[string]*predicate.Predicate, nAlpha)
-	exprs := make(map[string]expr.Expr, nAlpha)
+	var symbols []string
+	alphabet := map[string]*predicate.Predicate{}
 	for i := 0; i < nAlpha; i++ {
 		l, err := line()
 		if err != nil {
@@ -222,18 +226,22 @@ func ReadModel(r io.Reader) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("model: alphabet entry %d: %w", i, err)
 		}
-		symbols[i] = e.String()
-		if symbols[i] != text {
-			return nil, fmt.Errorf("model: alphabet entry %d is not canonical: %q vs %q", i, text, symbols[i])
+		if canon := e.String(); canon != text {
+			return nil, fmt.Errorf("model: alphabet entry %d is not canonical: %q vs %q", i, text, canon)
 		}
+		symbols = append(symbols, text)
 		alphabet[text] = &predicate.Predicate{Expr: e, Key: text}
-		exprs[text] = e
 	}
 
 	nTrans, err := intField("transitions")
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
+	type transition struct {
+		from, to automaton.State
+		sym      string
+	}
+	var trans []transition
 	for i := 0; i < nTrans; i++ {
 		l, err := line()
 		if err != nil {
@@ -249,9 +257,7 @@ func ReadModel(r io.Reader) (*Model, error) {
 		if err1 != nil || err2 != nil || err3 != nil || sym < 0 || sym >= nAlpha {
 			return nil, fmt.Errorf("model: bad transition line %q", l)
 		}
-		if err := nfa.AddTransition(automaton.State(from), symbols[sym], automaton.State(to)); err != nil {
-			return nil, fmt.Errorf("model: %w", err)
-		}
+		trans = append(trans, transition{automaton.State(from), automaton.State(to), symbols[sym]})
 	}
 
 	nSeeds, err := intField("seeds")
@@ -292,6 +298,19 @@ func ReadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("model: %w", err)
 	}
 
+	if int64(states) > cr.n {
+		return nil, fmt.Errorf("model: %d states in a %d-byte model", states, cr.n)
+	}
+	nfa, err := automaton.New(states, automaton.State(initial))
+	if err != nil {
+		return nil, fmt.Errorf("model: %w", err)
+	}
+	for _, t := range trans {
+		if err := nfa.AddTransition(t.from, t.sym, t.to); err != nil {
+			return nil, fmt.Errorf("model: %w", err)
+		}
+	}
+
 	pipeline, err := NewPipeline(schema, Options{
 		Predicate: predicate.Options{Window: window},
 		Learn:     learn.Options{Segmented: true},
@@ -313,4 +332,16 @@ func ReadModel(r io.Reader) (*Model, error) {
 		States:    states,
 		pipeline:  pipeline,
 	}, nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }

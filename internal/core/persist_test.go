@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/automaton"
 	"repro/internal/expr"
@@ -132,6 +133,33 @@ func TestReadModelErrors(t *testing.T) {
 		if _, err := ReadModel(strings.NewReader(src)); err == nil {
 			t.Errorf("ReadModel accepted:\n%s", src)
 		}
+	}
+}
+
+// TestReadModelHostileHeaders: header counts far beyond what the file
+// holds must be rejected with an error, quickly and without sizing any
+// allocation from the count.
+func TestReadModelHostileHeaders(t *testing.T) {
+	const head = "t2m-model v1\nschema x:int\nwindow 3\n"
+	const body = "alphabet 1\np0 x' = x\ntransitions 1\n0 p0 0\nseeds 0\n"
+	cases := []struct{ name, src string }{
+		{"states 4000000000", head + "states 4000000000\ninitial 0\n" + body},
+		{"alphabet 4000000000", head + "states 1\ninitial 0\nalphabet 4000000000\np0 x' = x\n"},
+		{"alphabet 40000000", head + "states 1\ninitial 0\nalphabet 40000000\np0 x' = x\n"},
+		{"transitions 4000000000", head + "states 1\ninitial 0\nalphabet 1\np0 x' = x\ntransitions 4000000000\n0 p0 0\n"},
+		{"seeds 4000000000", head + "states 1\ninitial 0\nalphabet 1\np0 x' = x\ntransitions 1\n0 p0 0\nseeds 4000000000\nx x\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			_, err := ReadModel(strings.NewReader(tc.src))
+			if err == nil {
+				t.Fatal("ReadModel accepted the header")
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("rejection took %v, want under 1s", d)
+			}
+		})
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"repro/internal/active"
 	"repro/internal/core"
 	"repro/internal/learn"
-	"repro/internal/predicate"
 	"repro/internal/systems"
 	"repro/internal/trace"
 )
@@ -59,7 +58,6 @@ var activeTruncations = map[string]int{
 // pipeline options the refinement loop takes.
 func activeCoreOptions() core.Options {
 	return core.Options{
-		Predicate: predicate.Options{Workers: Workers},
 		Learn:     learn.Options{Portfolio: Portfolio, Workers: Workers},
 		Telemetry: Telemetry,
 		Context:   Context,

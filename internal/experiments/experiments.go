@@ -61,10 +61,10 @@ func Cases() []Case {
 	}
 }
 
-// Workers is the predicate-synthesis worker count applied to every
+// Workers is the solver-portfolio worker count applied to every
 // experiment run (cmd/repro's -j flag). Zero means one worker per
-// available CPU; 1 forces the serial path. Results are identical
-// either way — only wall-clock time changes.
+// available CPU; 1 runs the canonical solver only. Results are
+// identical either way — only wall-clock time changes.
 var Workers int
 
 // Portfolio is the SAT solver portfolio size applied to every

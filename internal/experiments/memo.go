@@ -26,7 +26,7 @@ import (
 // MemoRow is one benchmark × worker-count measurement of the cache.
 type MemoRow struct {
 	// Name is the benchmark's table name; TraceLen its trace length;
-	// Workers the predicate-synthesis worker count of every leg.
+	// Workers the solver-portfolio worker count of every leg.
 	Name     string `json:"name"`
 	TraceLen int    `json:"trace_len"`
 	Workers  int    `json:"workers"`
@@ -54,8 +54,9 @@ type MemoRow struct {
 	CorruptIdentical bool `json:"corrupt_identical"`
 }
 
-// memoWorkerCounts: byte-identity is pinned at the serial path and a
-// representative parallel one.
+// memoWorkerCounts: byte-identity is pinned at one solver-portfolio
+// worker and at a representative parallel count (which only differs
+// when -portfolio races solver variants).
 var memoWorkerCounts = []int{1, 4}
 
 // memoSharedRuns is how many concurrent learners race one cache

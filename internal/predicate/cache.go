@@ -3,10 +3,9 @@
 // an on-disk, content-addressed record of a previous build of the same
 // window before enumerating, and publishes its own outcome after.
 //
-// The design reuses the speculate/replay decomposition of parallel.go
-// wholesale. A cache entry is exactly a persisted speculation record —
-// the per-call outcomes whose validity does not depend on when (or in
-// which process) they were computed:
+// A cache entry records one window build as its per-call synthesis
+// outcomes, keeping only what does not depend on when (or in which
+// process) the build ran:
 //
 //   - a call the producing run answered by CEGIS search stores the
 //     minimal expression, which depends only on window content and
@@ -15,23 +14,23 @@
 //   - a call the producing run answered from its seed pool stores only
 //     a marker: pools are run-local history, so the consuming run must
 //     re-decide the call against its own pool — replayNext treats the
-//     marker like a missing record and falls back to full serial
-//     synthesis when its authoritative seed pass misses;
+//     marker like a missing record and falls back to full synthesis
+//     when its authoritative seed pass misses;
 //   - deterministic failures (ErrInconsistent, ErrNoSolution) store
 //     their class; anything else (cancellation) poisons the record so
 //     it is never published.
 //
-// Replay against the authoritative pool is the same code path that
-// makes the parallel engine byte-identical to the serial one, so a
-// model learned with the cache cold, warm, shared, corrupted or
-// disabled is byte-identical in all five states — the cache can only
-// change how fast a window builds, never what it builds.
+// A cached build replays the window through buildExpr, taking each
+// call's record in order but always deciding it against the live seed
+// pool first, exactly as synthesizeNext would. So a model learned with
+// the cache cold, warm, shared, corrupted or disabled is byte-identical
+// in all five states — the cache can only change how fast a window
+// builds, never what it builds.
 //
 // Keys hash the window's canonical value content (insertion-order
 // independent: two runs that intern observations in different orders
 // digest the same window identically) together with every synthesis
-// parameter that can change a build's outcome. Lookup and store run
-// without g.mu on the parallel paths, so entry I/O overlaps synthesis.
+// parameter that can change a build's outcome.
 package predicate
 
 import (
@@ -115,32 +114,65 @@ func (g *Generator) cacheDigest(win *trace.Trace) synthcache.Digest {
 	return d
 }
 
-// cacheLookup consults the cache for the job's window, filling
-// job.recs with the decoded call records on a hit; it reports whether
-// speculation can be skipped. Entries that pass the byte-level
-// checksum but fail semantic decoding (unparseable or non-canonical
-// expression text) are reclassified as corrupt and treated as misses.
-// Safe without g.mu: the cache handle, key prefix and schema types are
-// immutable while a sequence runs.
-func (g *Generator) cacheLookup(job *specJob) bool {
-	if g.cache == nil {
-		return false
+// synthRecord is the replayable outcome of one synthesizer call,
+// decoded from a cache entry.
+type synthRecord struct {
+	f   expr.Expr
+	err error
+	// seed marks a call the producing run answered from its seed pool:
+	// replay must re-decide it against the live pool (synthesising
+	// afresh on a miss), never reuse a value.
+	seed bool
+	// name is the recorded variable; replay poisons the job on a
+	// mismatch.
+	name string
+}
+
+// cacheJob is one unique-window build against the cache: the records
+// looked up for the window and the outcomes replay collects for
+// publication.
+type cacheJob struct {
+	recs       []synthRecord
+	dig        synthcache.Digest
+	fromCache  bool
+	cachedExpr int // ExprCalls of the loaded entry
+	pub        []synthcache.Call
+	poison     bool
+}
+
+// buildCached is the unique-window build against the cache: look the
+// window up, replay whatever record exists (an empty record list
+// replays as plain synthesis), publish on success. Callers hold g.mu
+// and wrap the call in buildUnique's telemetry.
+func (g *Generator) buildCached(win *trace.Trace) (expr.Expr, error) {
+	job := g.cacheLookup(win)
+	e, err := g.buildExpr(win, g.replayNexter(job))
+	if err == nil {
+		g.cachePublish(job)
 	}
-	job.dig = g.cacheDigest(job.win)
-	job.hasDig = true
+	return e, err
+}
+
+// cacheLookup consults the cache for the window and returns its job,
+// with the decoded call records on a hit. Entries that pass the
+// byte-level checksum but fail semantic decoding (unparseable or
+// non-canonical expression text) are reclassified as corrupt and
+// treated as misses.
+func (g *Generator) cacheLookup(win *trace.Trace) *cacheJob {
+	job := &cacheJob{dig: g.cacheDigest(win)}
 	ent, ok := g.cache.Load(job.dig)
 	if !ok {
-		return false
+		return job
 	}
 	recs, err := g.decodeEntry(ent)
 	if err != nil {
 		g.cache.Reject()
-		return false
+		return job
 	}
 	job.recs = recs
 	job.fromCache = true
 	job.cachedExpr = ent.ExprCalls()
-	return true
+	return job
 }
 
 // decodeEntry converts a cache entry into replayable records, with the
@@ -176,10 +208,9 @@ func (g *Generator) decodeEntry(ent *synthcache.Entry) ([]synthRecord, error) {
 // pubCall records one replay outcome for publication: a pool answer as
 // a seed marker, a search answer as its expression text, deterministic
 // failures as their class. Any other outcome poisons the window's
-// record. No-op without a cache, so the disabled path allocates
-// nothing.
-func (g *Generator) pubCall(job *specJob, name string, f expr.Expr, seedHit bool, err error) {
-	if g.cache == nil || job == nil || job.poison {
+// record.
+func (g *Generator) pubCall(job *cacheJob, name string, f expr.Expr, seedHit bool, err error) {
+	if job.poison {
 		return
 	}
 	call := synthcache.Call{Var: name}
@@ -206,8 +237,8 @@ func (g *Generator) pubCall(job *specJob, name string, f expr.Expr, seedHit bool
 // run resolved strictly more calls to seed-free expressions than the
 // stored record — the richer record saves future cold-pool runs more
 // enumeration, while an equal or poorer one would only churn the file.
-func (g *Generator) cachePublish(job *specJob) {
-	if g.cache == nil || !job.hasDig || job.poison {
+func (g *Generator) cachePublish(job *cacheJob) {
+	if job.poison {
 		return
 	}
 	ent := &synthcache.Entry{Calls: job.pub}
@@ -217,16 +248,76 @@ func (g *Generator) cachePublish(job *specJob) {
 	_ = g.cache.Store(job.dig, ent)
 }
 
-// buildCached is the serial unique-window build against the cache:
-// look the window up, replay whatever record exists (an empty record
-// list replays as pure serial synthesis), publish on success. Callers
-// hold g.mu and wrap the call in buildUnique's telemetry.
-func (g *Generator) buildCached(win *trace.Trace) (expr.Expr, error) {
-	job := &specJob{win: win}
-	g.cacheLookup(job)
-	e, err := g.buildExpr(win, g.replayNexter(job))
-	if err == nil {
-		g.cachePublish(job)
+// replayNexter returns the nextFunc a cached build drives: positional
+// consumption of job.recs, one record per synthesizer call.
+func (g *Generator) replayNexter(job *cacheJob) nextFunc {
+	cur := 0
+	return func(name string, examples []synth.Example) (expr.Expr, error) {
+		var rec *synthRecord
+		if cur < len(job.recs) {
+			rec = &job.recs[cur]
+			cur++
+		}
+		return g.replayNext(name, examples, rec, job)
 	}
-	return e, err
+}
+
+// replayNext reproduces exactly what synthesizeNext would have
+// returned at this point of the seed-pool evolution, substituting the
+// cached record for the enumeration. rec is nil on a cache miss or
+// past the end of a shorter record. Every outcome is also recorded on
+// the job for publication (pubCall). Callers hold g.mu.
+func (g *Generator) replayNext(name string, examples []synth.Example, rec *synthRecord, job *cacheJob) (expr.Expr, error) {
+	g.stats.SynthCalls++
+	// Serial order inside synth.Synthesize: consistency check, then
+	// seed pass, then search.
+	if err := synth.CheckExamples(examples); err != nil {
+		g.pubCall(job, name, nil, false, err)
+		return nil, err
+	}
+	if rec != nil && rec.name != name {
+		// A record for a different call sequence than this build ran:
+		// fall back to plain synthesis for the rest of the window and
+		// never publish it.
+		job.poison = true
+		rec = nil
+	}
+	if rec != nil && rec.seed {
+		// The producing run's pool answered this call; ours decides
+		// afresh below, exactly like a missing record.
+		rec = nil
+	}
+	var f expr.Expr
+	if !g.opts.NoReuse {
+		for _, s := range g.sortedSeeds(name) {
+			if synth.ConsistentWith(s, examples) {
+				f = s
+				break
+			}
+		}
+	}
+	seedHit := f != nil
+	if f == nil {
+		switch {
+		case rec == nil:
+			// No usable record: synthesise (the seed pass inside
+			// misses again; only the CEGIS search runs).
+			var err error
+			f, err = g.searchNext(name, examples)
+			if err != nil {
+				g.pubCall(job, name, nil, false, err)
+				return nil, err
+			}
+		case rec.err != nil:
+			// The seed pool could not rescue the recorded failure,
+			// so synthesis fails identically.
+			g.pubCall(job, name, nil, false, rec.err)
+			return nil, rec.err
+		default:
+			f = rec.f
+		}
+	}
+	g.noteResult(name, f)
+	g.pubCall(job, name, f, seedHit, nil)
+	return f, nil
 }

@@ -112,49 +112,46 @@ func TestCacheDigestNoCollisions(t *testing.T) {
 }
 
 // TestCacheWarmIdenticalSequenceAndStats: with the cache cold or warm,
-// at workers 1 and 4, the generator must produce the same predicate
-// keys and evolve the same Stats as an uncached generator — the
-// generator-level form of the model byte-identity contract. The warm
-// generator must additionally answer every unique window from the
-// cache.
+// the generator must produce the same predicate keys and evolve the
+// same Stats as an uncached generator — the generator-level form of
+// the model byte-identity contract. The warm generator must
+// additionally answer every unique window from the cache.
 func TestCacheWarmIdenticalSequenceAndStats(t *testing.T) {
 	tr := intTrace(t, turningVals...)
-	for _, workers := range []int{1, 4} {
-		base, err := NewGenerator(tr.Schema(), Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantPs, err := base.Sequence(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantStats := base.Stats()
+	base, err := NewGenerator(tr.Schema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPs, err := base.Sequence(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStats := base.Stats()
 
-		dir := t.TempDir()
-		for _, leg := range []string{"cold", "warm"} {
-			g := cachedGenerator(t, tr.Schema(), dir, Options{Workers: workers})
-			ps, err := g.Sequence(tr)
-			if err != nil {
-				t.Fatalf("j=%d %s: %v", workers, leg, err)
+	dir := t.TempDir()
+	for _, leg := range []string{"cold", "warm"} {
+		g := cachedGenerator(t, tr.Schema(), dir, Options{})
+		ps, err := g.Sequence(tr)
+		if err != nil {
+			t.Fatalf("%s: %v", leg, err)
+		}
+		if len(ps) != len(wantPs) {
+			t.Fatalf("%s: %d predicates, want %d", leg, len(ps), len(wantPs))
+		}
+		for i := range ps {
+			if ps[i].Key != wantPs[i].Key {
+				t.Errorf("%s: p%d = %q, want %q", leg, i, ps[i].Key, wantPs[i].Key)
 			}
-			if len(ps) != len(wantPs) {
-				t.Fatalf("j=%d %s: %d predicates, want %d", workers, leg, len(ps), len(wantPs))
-			}
-			for i := range ps {
-				if ps[i].Key != wantPs[i].Key {
-					t.Errorf("j=%d %s: p%d = %q, want %q", workers, leg, i, ps[i].Key, wantPs[i].Key)
-				}
-			}
-			if got := g.Stats(); got != wantStats {
-				t.Errorf("j=%d %s: stats %+v, want %+v", workers, leg, got, wantStats)
-			}
-			st := g.cache.Stats()
-			if leg == "warm" && (st.Misses != 0 || st.Hits == 0) {
-				t.Errorf("j=%d warm: cache stats %+v, want all hits", workers, st)
-			}
-			if st.Corrupt != 0 {
-				t.Errorf("j=%d %s: cache reported %d corrupt entries", workers, leg, st.Corrupt)
-			}
+		}
+		if got := g.Stats(); got != wantStats {
+			t.Errorf("%s: stats %+v, want %+v", leg, got, wantStats)
+		}
+		st := g.cache.Stats()
+		if leg == "warm" && (st.Misses != 0 || st.Hits == 0) {
+			t.Errorf("warm: cache stats %+v, want all hits", st)
+		}
+		if st.Corrupt != 0 {
+			t.Errorf("%s: cache reported %d corrupt entries", leg, st.Corrupt)
 		}
 	}
 }
@@ -169,17 +166,15 @@ func TestDisabledCacheMemoHitNoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win := tr.Slice(0, g.Window())
 	ids := make([]trace.ObsID, g.Window())
 	for i := range ids {
-		ids[i] = g.obsIntern.Intern(win.At(i))
+		ids[i] = g.obsIntern.Intern(tr.At(i))
 	}
-	key := trace.MakeWindowKey(ids)
-	if _, err := g.fromWindow(win, key); err != nil {
+	if _, err := g.resolve(ids); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		p, err := g.fromWindow(win, key)
+		p, err := g.resolve(ids)
 		if err != nil || p == nil {
 			t.Fatal("memo hit failed")
 		}

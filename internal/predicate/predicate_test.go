@@ -1,6 +1,10 @@
 package predicate
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/expr"
@@ -287,4 +291,116 @@ func TestEventTraceWiderWindow(t *testing.T) {
 			t.Errorf("window %d: %v", i, err)
 		}
 	}
+}
+
+// TestGeneratorConcurrentUse hammers one Generator from many
+// goroutines (run under -race in CI). Interleaved calls may observe
+// different seed orders, so the test checks safety and soundness, not
+// cross-call determinism: no data race, every sequence sound, and
+// interning consistent within each result.
+func TestGeneratorConcurrentUse(t *testing.T) {
+	vals := []int64{1, 2, 3, 4, 5, 4, 3, 2, 1, 2, 3, 4, 5, 4, 3, 2, 1}
+	tr := intTrace(t, vals...)
+	g, err := NewGenerator(tr.Schema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				ps, err := g.Sequence(tr)
+				if err != nil {
+					t.Errorf("Sequence: %v", err)
+					return
+				}
+				for j, p := range ps {
+					if err := Verify(p, tr.Slice(j, j+g.Window())); err != nil {
+						t.Errorf("window %d: %v", j, err)
+					}
+				}
+			} else {
+				for j := 0; j+g.Window() <= tr.Len(); j++ {
+					if _, err := g.FromWindow(tr.Slice(j, j+g.Window())); err != nil {
+						t.Errorf("FromWindow %d: %v", j, err)
+					}
+				}
+			}
+			_ = g.Stats()
+			_ = g.Alphabet()
+			_ = g.Seeds()
+		}(i)
+	}
+	wg.Wait()
+	want := tr.Len() + 1 - g.Window()
+	if got := g.Stats().Windows; got != 8*want {
+		t.Errorf("windows = %d, want %d", got, 8*want)
+	}
+}
+
+// TestSequenceParallelMatchesSerial runs independent generators over
+// the same traces in parallel goroutines (under -race in CI). Each must
+// match a serial baseline exactly — predicates, interning, seed pools,
+// stats and alphabet — so nothing in the predicate, synthesis or
+// expression layers leaks state between generators, as when several
+// learners share a process.
+func TestSequenceParallelMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, sg := range schemaGens() {
+		// Two traces per run: the second exercises a generator whose
+		// memo and seed pools are already populated.
+		trs := []*trace.Trace{randTrace(rng, sg, 48), randTrace(rng, sg, 48)}
+		for _, goroutines := range []int{2, 8} {
+			for _, noMemo := range []bool{false, true} {
+				name := sg.name
+				if noMemo {
+					name += "/nomemo"
+				}
+				t.Run(name, func(t *testing.T) {
+					opts := Options{NoMemo: noMemo}
+					want := runDigest(opts, trs)
+					got := make([]string, goroutines)
+					var wg sync.WaitGroup
+					for i := range got {
+						wg.Add(1)
+						go func(i int) {
+							defer wg.Done()
+							got[i] = runDigest(opts, trs)
+						}(i)
+					}
+					wg.Wait()
+					for i := range got {
+						if got[i] != want {
+							t.Fatalf("goroutine %d diverged from the serial run:\n%s\nwant:\n%s", i, got[i], want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// runDigest sequences the traces through one fresh generator and
+// renders everything observable: each window's predicate and sharing
+// structure (or the error), then stats, seed pools and alphabet.
+func runDigest(opts Options, trs []*trace.Trace) string {
+	g, err := NewGenerator(trs[0].Schema(), opts)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	var b strings.Builder
+	for _, tr := range trs {
+		ps, err := g.Sequence(tr)
+		if err != nil {
+			fmt.Fprintf(&b, "error: %v\n", err)
+			continue
+		}
+		for i, first := range sharing(ps) {
+			fmt.Fprintf(&b, "%d %s\n", first, ps[i].Key)
+		}
+	}
+	fmt.Fprintf(&b, "stats %+v\nseeds %v\nalphabet %v\n", g.Stats(), seedStrings(g), alphabetKeys(g))
+	return b.String()
 }

@@ -4,11 +4,21 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/synth"
 	"repro/internal/trace"
 )
+
+// Sequence and SequenceSource share one window loop, so over the same
+// observations they must agree bit-for-bit: same predicates, same
+// interning (pointer equality), same seed-pool evolution, same stats,
+// same first error. The tests below check that over fixed and
+// randomized traces of every schema shape the generator supports.
 
 // expand flattens a run stream back into the per-window sequence.
 func expand(runs []Run) []*Predicate {
@@ -40,87 +50,126 @@ func mixedTrace(t *testing.T, n int) *trace.Trace {
 	return tr
 }
 
-func TestSequenceSourceMatchesBatch(t *testing.T) {
-	tr := mixedTrace(t, 64)
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			gBatch, err := NewGenerator(tr.Schema(), Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch, err := gBatch.Sequence(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
+type schemaGen struct {
+	name   string
+	schema *trace.Schema
+	step   func(rng *rand.Rand, tr *trace.Trace, i int)
+}
 
-			gStream, err := NewGenerator(tr.Schema(), Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var runs []Run
-			if err := gStream.SequenceSource(trace.NewTraceSource(tr), func(r Run) error {
-				runs = append(runs, r)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			stream := expand(runs)
-
-			if len(stream) != len(batch) {
-				t.Fatalf("stream yields %d windows, batch %d", len(stream), len(batch))
-			}
-			for i := range batch {
-				if stream[i].Key != batch[i].Key {
-					t.Fatalf("window %d: stream %q, batch %q", i, stream[i].Key, batch[i].Key)
+func schemaGens() []schemaGen {
+	intSchema := trace.MustSchema(trace.VarDef{Name: "x", Type: expr.Int})
+	eventSchema := trace.MustSchema(trace.VarDef{Name: "event", Type: expr.Sym})
+	mixedSchema := trace.MustSchema(
+		trace.VarDef{Name: "event", Type: expr.Sym},
+		trace.VarDef{Name: "x", Type: expr.Int},
+	)
+	boolSchema := trace.MustSchema(
+		trace.VarDef{Name: "b", Type: expr.Bool, Role: trace.Input},
+		trace.VarDef{Name: "x", Type: expr.Int},
+	)
+	return []schemaGen{
+		{
+			// Random walk with repeating ±1 runs: memo hits, seed
+			// reuse, and turning-point windows.
+			name: "int", schema: intSchema,
+			step: func(rng *rand.Rand, tr *trace.Trace, i int) {
+				var x int64
+				if i > 0 {
+					x = tr.At(i - 1)[0].I
 				}
-			}
-			// Runs must be maximal: no adjacent equal predicates.
-			for i := 1; i < len(runs); i++ {
-				if runs[i].Pred == runs[i-1].Pred {
-					t.Fatalf("runs %d and %d share predicate %q", i-1, i, runs[i].Pred.Key)
+				switch rng.Intn(6) {
+				case 0:
+					x = int64(rng.Intn(5))
+				case 1, 2:
+					x++
+				case 3, 4:
+					x--
 				}
-			}
-			// Work accounting matches the batch path exactly.
-			if bs, ss := gBatch.Stats(), gStream.Stats(); bs != ss {
-				t.Fatalf("stats diverge: batch %+v, stream %+v", bs, ss)
-			}
-		})
+				tr.MustAppend(trace.Observation{expr.IntVal(x)})
+			},
+		},
+		{
+			// Pure event trace: guards only, no synthesis.
+			name: "events", schema: eventSchema,
+			step: func(rng *rand.Rand, tr *trace.Trace, i int) {
+				evs := []string{"open", "read", "write", "close"}
+				tr.MustAppend(trace.Observation{expr.SymVal(evs[rng.Intn(len(evs))])})
+			},
+		},
+		{
+			// Event-guarded counter: mixed windows branch on the
+			// event; occasional resets force ite updates.
+			name: "mixed", schema: mixedSchema,
+			step: func(rng *rand.Rand, tr *trace.Trace, i int) {
+				var x int64
+				if i > 0 {
+					x = tr.At(i - 1)[1].I
+				}
+				ev := "write"
+				switch rng.Intn(5) {
+				case 0:
+					ev, x = "reset", 0
+				case 1, 2:
+					ev, x = "read", x-1
+				default:
+					x++
+				}
+				tr.MustAppend(trace.Observation{expr.SymVal(ev), expr.IntVal(x)})
+			},
+		},
+		{
+			// Boolean input steering an integer state: bool guards
+			// group the window steps.
+			name: "boolinput", schema: boolSchema,
+			step: func(rng *rand.Rand, tr *trace.Trace, i int) {
+				var x int64
+				if i > 0 {
+					x = tr.At(i - 1)[1].I
+				}
+				b := rng.Intn(2) == 0
+				if b {
+					x++
+				} else {
+					x--
+				}
+				tr.MustAppend(trace.Observation{expr.BoolVal(b), expr.IntVal(x)})
+			},
+		},
 	}
 }
 
-func TestSequenceSourceShortTrace(t *testing.T) {
-	tr := mixedTrace(t, 2)
-	for _, workers := range []int{1, 4} {
-		g, err := NewGenerator(tr.Schema(), Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = g.SequenceSource(trace.NewTraceSource(tr), func(Run) error { return nil })
-		if err == nil {
-			t.Fatalf("workers=%d: no error for trace shorter than window", workers)
-		}
+func randTrace(rng *rand.Rand, sg schemaGen, n int) *trace.Trace {
+	tr := trace.New(sg.schema)
+	for i := 0; i < n; i++ {
+		sg.step(rng, tr, i)
 	}
+	return tr
 }
 
-func TestSequenceSourceEmitError(t *testing.T) {
-	tr := mixedTrace(t, 32)
-	sentinel := errors.New("stop")
-	for _, workers := range []int{1, 4} {
-		g, err := NewGenerator(tr.Schema(), Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+// seedStrings renders the per-variable seed pools for comparison.
+func seedStrings(g *Generator) map[string][]string {
+	out := map[string][]string{}
+	for name, es := range g.Seeds() {
+		ss := make([]string, len(es))
+		for i, e := range es {
+			ss[i] = e.String()
 		}
-		err = g.SequenceSource(trace.NewTraceSource(tr), func(Run) error { return sentinel })
-		if !errors.Is(err, sentinel) {
-			t.Fatalf("workers=%d: got %v, want sentinel emit error", workers, err)
-		}
+		out[name] = ss
 	}
+	return out
 }
 
-// bigCSV builds a quote-free counter CSV large enough to span several
-// ingest shards (shardBlockSize-sized blocks), with an optional
-// malformed record injected at row badAt (-1 for none).
-func bigCSV(rows, badAt int) []byte {
+func alphabetKeys(g *Generator) map[string]bool {
+	out := map[string]bool{}
+	for _, p := range g.Alphabet() {
+		out[p.Key] = true
+	}
+	return out
+}
+
+// csvInput builds a quote-free counter CSV, with a malformed record
+// injected at row badAt (-1 for none).
+func csvInput(rows, badAt int) []byte {
 	var buf bytes.Buffer
 	buf.WriteString("count:int,event:sym\n")
 	for i := 0; i < rows; i++ {
@@ -137,81 +186,201 @@ func bigCSV(rows, badAt int) []byte {
 	return buf.Bytes()
 }
 
-// TestShardedIngestMatchesSerial drives a multi-megabyte zero-copy CSV
-// through SequenceSource at several worker counts. Workers > 1 on a
-// quote-free byte-backed source takes the sharded block-decode path
-// (private per-worker interners, deterministic merge); the emitted run
-// sequence must be byte-identical to the serial path's.
-func TestShardedIngestMatchesSerial(t *testing.T) {
-	data := bigCSV(320_000, -1) // ~2.5 MiB: several shardBlockSize blocks
-	if len(data) < 2*shardBlockSize {
-		t.Fatalf("trace only %d bytes, want > %d to span shards", len(data), 2*shardBlockSize)
+// sharing maps each window to the index of the first window holding
+// the same predicate pointer, so two sequences can be compared for
+// identical interning structure in linear time.
+func sharing(ps []*Predicate) []int {
+	first := map[*Predicate]int{}
+	out := make([]int, len(ps))
+	for i, p := range ps {
+		if j, ok := first[p]; ok {
+			out[i] = j
+			continue
+		}
+		first[p] = i
+		out[i] = i
 	}
-	// Confirm the shard precondition holds, so workers>1 below really
-	// exercises shardStream rather than silently falling back.
-	probe, err := trace.NewCSVSource(trace.NewBytes(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := probe.Blocks(shardBlockSize); !ok {
-		t.Fatal("Blocks refused the shard-eligible trace")
-	}
+	return out
+}
 
-	collect := func(workers int) []Run {
-		src, err := trace.NewCSVSource(trace.NewBytes(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := NewGenerator(src.Schema(), Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var runs []Run
-		if err := g.SequenceSource(src, func(r Run) error {
-			runs = append(runs, r)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return runs
+func TestSequenceSourceMatchesBatch(t *testing.T) {
+	type input func(t *testing.T) trace.Source
+	fromTrace := func(tr *trace.Trace) input {
+		return func(*testing.T) trace.Source { return trace.NewTraceSource(tr) }
 	}
-
-	want := collect(1)
-	if len(want) == 0 {
-		t.Fatal("serial path emitted no runs")
-	}
-	for _, workers := range []int{2, 4} {
-		got := collect(workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d runs, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Pred.Key != want[i].Pred.Key || got[i].Count != want[i].Count {
-				t.Fatalf("workers=%d: run %d = {%q, %d}, want {%q, %d}",
-					workers, i, got[i].Pred.Key, got[i].Count, want[i].Pred.Key, want[i].Count)
+	fromCSV := func(data []byte) input {
+		return func(t *testing.T) trace.Source {
+			src, err := trace.NewCSVSource(trace.NewBytes(data))
+			if err != nil {
+				t.Fatal(err)
 			}
+			return src
+		}
+	}
+	type tcase struct {
+		name   string
+		opts   Options
+		inputs []input // sequenced in order through one generator per path
+		// wantErr, when set, is the prefix both paths' error must carry.
+		wantErr string
+	}
+	cases := []tcase{
+		{name: "mod4", inputs: []input{fromTrace(mixedTrace(t, 64))}},
+		// With MaxSize 2 the window [5,9,13] needs x + 4 (size 3) and
+		// fails with ErrNoSolution; the preceding [5,5,9] window is
+		// inconsistent and falls back to the explicit relation without
+		// error. The first failing window starts at observation 4.
+		{
+			name:    "error-index",
+			opts:    Options{Synth: synth.Options{MaxSize: 2}},
+			inputs:  []input{fromTrace(intTrace(t, 5, 5, 5, 5, 5, 9, 13))},
+			wantErr: "predicate: window at observation 4: ",
+		},
+		// The zero-copy CSV source interns its own records (IDSource);
+		// the batch path decodes them through Collect.
+		{name: "csv", inputs: []input{fromCSV(csvInput(20_000, -1))}},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, sg := range schemaGens() {
+		// Two traces per run: the second exercises a generator whose
+		// memo and seed pools are already populated.
+		trs := []input{fromTrace(randTrace(rng, sg, 48)), fromTrace(randTrace(rng, sg, 48))}
+		cases = append(cases,
+			tcase{name: "random/" + sg.name, inputs: trs},
+			tcase{name: "random/" + sg.name + "/nomemo", opts: Options{NoMemo: true}, inputs: trs})
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src0 := tc.inputs[0](t)
+			gBatch, err := NewGenerator(src0.Schema(), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gStream, err := NewGenerator(src0.Schema(), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ti, in := range tc.inputs {
+				tr, err := trace.Collect(in(t))
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch, errB := gBatch.Sequence(tr)
+				var runs []Run
+				errS := gStream.SequenceSource(in(t), func(r Run) error {
+					runs = append(runs, r)
+					return nil
+				})
+				if tc.wantErr != "" {
+					if errB == nil || !strings.HasPrefix(errB.Error(), tc.wantErr) {
+						t.Fatalf("input %d: batch error %v, want prefix %q", ti, errB, tc.wantErr)
+					}
+					if errS == nil || errS.Error() != errB.Error() {
+						t.Fatalf("input %d: error mismatch:\nbatch:  %v\nstream: %v", ti, errB, errS)
+					}
+					continue
+				}
+				if errB != nil || errS != nil {
+					t.Fatalf("input %d: batch err %v, stream err %v", ti, errB, errS)
+				}
+				stream := expand(runs)
+				if len(stream) != len(batch) {
+					t.Fatalf("input %d: stream yields %d windows, batch %d", ti, len(stream), len(batch))
+				}
+				for i := range batch {
+					if stream[i].Key != batch[i].Key {
+						t.Fatalf("input %d window %d: stream %q, batch %q", ti, i, stream[i].Key, batch[i].Key)
+					}
+				}
+				// Interning: equal predicates must be pointer-equal in
+				// both runs, with the same sharing structure.
+				sb, ss := sharing(batch), sharing(stream)
+				for i := range sb {
+					if sb[i] != ss[i] {
+						t.Fatalf("input %d: sharing differs at window %d: batch %d, stream %d", ti, i, sb[i], ss[i])
+					}
+				}
+				// Runs must be maximal: no adjacent equal predicates.
+				for i := 1; i < len(runs); i++ {
+					if runs[i].Pred == runs[i-1].Pred {
+						t.Fatalf("input %d: runs %d and %d share predicate %q", ti, i-1, i, runs[i].Pred.Key)
+					}
+				}
+			}
+			// Work accounting, seed pools and alphabet match exactly.
+			if bs, ss := gBatch.Stats(), gStream.Stats(); bs != ss {
+				t.Errorf("stats diverge: batch %+v, stream %+v", bs, ss)
+			}
+			if sB, sS := fmt.Sprint(seedStrings(gBatch)), fmt.Sprint(seedStrings(gStream)); sB != sS {
+				t.Errorf("seed pools differ:\nbatch:  %s\nstream: %s", sB, sS)
+			}
+			if aB, aS := fmt.Sprint(alphabetKeys(gBatch)), fmt.Sprint(alphabetKeys(gStream)); aB != aS {
+				t.Errorf("alphabets differ:\nbatch:  %s\nstream: %s", aB, aS)
+			}
+		})
+	}
+}
+
+// TestSequenceSourceShortTrace: a trace shorter than the window is an
+// error, also when the window is huge (as a damaged model file can
+// declare), which must not size any allocation.
+func TestSequenceSourceShortTrace(t *testing.T) {
+	tr := mixedTrace(t, 2)
+	for _, window := range []int{0, math.MaxInt32} {
+		g, err := NewGenerator(tr.Schema(), Options{Window: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = g.SequenceSource(trace.NewTraceSource(tr), func(Run) error { return nil })
+		if err == nil {
+			t.Fatalf("window %d: no error for trace shorter than window", g.Window())
 		}
 	}
 }
 
-// TestShardedIngestDecodeError: a malformed record deep in the trace
-// must surface as an error at every worker count — including through
-// the sharded block path, where the failing block is decoded on some
-// worker but the error is reported in block order.
-func TestShardedIngestDecodeError(t *testing.T) {
-	data := bigCSV(320_000, 250_000)
-	for _, workers := range []int{1, 4} {
-		src, err := trace.NewCSVSource(trace.NewBytes(data))
+// TestSequenceSourceEmitError: an error raised mid-stream — by emit
+// itself, or by a malformed record deep in a CSV trace — aborts the
+// stream and surfaces from SequenceSource. The decode error must
+// arrive after the runs of the earlier, well-formed records were
+// emitted.
+func TestSequenceSourceEmitError(t *testing.T) {
+	t.Run("emit", func(t *testing.T) {
+		tr := mixedTrace(t, 32)
+		sentinel := errors.New("stop")
+		g, err := NewGenerator(tr.Schema(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := NewGenerator(src.Schema(), Options{Workers: workers})
+		err = g.SequenceSource(trace.NewTraceSource(tr), func(Run) error { return sentinel })
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("got %v, want sentinel emit error", err)
+		}
+	})
+	t.Run("decode", func(t *testing.T) {
+		const rows, badAt = 20_000, 15_000
+		src, err := trace.NewCSVSource(trace.NewBytes(csvInput(rows, badAt)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = g.SequenceSource(src, func(Run) error { return nil })
+		g, err := NewGenerator(src.Schema(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		emitted := 0
+		err = g.SequenceSource(src, func(r Run) error {
+			emitted += r.Count
+			return nil
+		})
 		if err == nil {
-			t.Fatalf("workers=%d: malformed record decoded without error", workers)
+			t.Fatal("malformed record decoded without error")
 		}
-	}
+		// Header is line 1, so row i sits on line i+2.
+		if want := fmt.Sprintf("trace csv: line %d", badAt+2); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+		if complete := badAt + 1 - g.Window(); emitted == 0 || emitted > complete {
+			t.Errorf("emitted %d windows before the error, want 1..%d", emitted, complete)
+		}
+	})
 }

@@ -3,8 +3,8 @@
 // shared by every learner process that points at the same directory.
 //
 // Window synthesis is the pipeline's dominant cost and — decomposed the
-// way internal/predicate's speculate/replay engine decomposes it — a
-// pure function: once the seed-pool-dependent decisions (the seed pass)
+// way internal/predicate's cache replay decomposes it — a pure
+// function: once the seed-pool-dependent decisions (the seed pass)
 // are separated out, what remains per synthesizer call is the CEGIS
 // search, whose minimal result depends only on the window's observation
 // content and the synthesis parameters. A cache entry therefore stores
@@ -27,8 +27,7 @@
 // Entries are keyed by a SHA-256 digest of the canonical window value
 // bytes plus a versioned encoding of the synthesis parameters (computed
 // by internal/predicate, which owns the schema), so keys are
-// independent of interner insertion order, worker count, ingestion mode
-// and process. On disk each entry is one file under a two-hex-digit
+// independent of interner insertion order, ingestion mode and process. On disk each entry is one file under a two-hex-digit
 // shard directory, written atomically (temp + fsync + rename, the
 // checkpoint discipline) with a self-checksummed format:
 //

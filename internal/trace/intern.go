@@ -107,19 +107,6 @@ func (in *Interner) Canon() []Observation {
 	return append([]Observation(nil), in.canon...)
 }
 
-// CanonSince returns the canonical observations with id ≥ n as a
-// capacity-capped subslice of the canonical table: no copy, and safe
-// to read even while the interner keeps growing, because later Intern
-// calls only append past the captured length (if the append relocates
-// the table, the captured slice keeps the old backing array; the
-// entries themselves are never mutated). The sharded ingest path uses
-// this to ship each block's newly-seen observations to the merger.
-func (in *Interner) CanonSince(n int) []Observation {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.canon[n:len(in.canon):len(in.canon)]
-}
-
 // maxArrayWindow is the window width the array-backed WindowKey form
 // covers; wider windows (rare — the paper uses w ≤ 4) fall back to a
 // string-encoded key.

@@ -52,13 +52,6 @@ func (s *sliceLiner) next() ([]byte, error) {
 
 func (s *sliceLiner) consumed() int64 { return int64(s.pos) }
 
-// rest returns the unconsumed tail of the buffer (the shardable
-// sources split it into record-aligned blocks).
-func (s *sliceLiner) remaining() []byte { return s.data[s.pos:] }
-
-// skip advances past n already-handed-out bytes of the tail.
-func (s *sliceLiner) skip(n int) { s.pos += n }
-
 // readLiner serves lines from any io.Reader. Short lines are borrowed
 // straight from the bufio buffer (no copy); lines longer than the
 // buffer are accumulated into a growing scratch slice, so there is no

@@ -51,32 +51,6 @@ type IDSource interface {
 	NextID(in *Interner) (ObsID, error)
 }
 
-// BlockSource is a Source whose remaining input can be handed out as
-// contiguous, record-aligned byte blocks for parallel shard decoding
-// (the streaming windower's sharded ingest path). Blocks are borrowed
-// from the underlying buffer and decoded by per-worker BlockDecoders;
-// concatenating the blocks in hand-out order reproduces the remaining
-// input exactly, which is what makes the sharded merge deterministic.
-type BlockSource interface {
-	Source
-	// Blocks returns a block iterator (each call yields the next block,
-	// io.EOF at the end) and true, or nil and false when the source
-	// cannot shard — it is not slice-backed, or the format needs
-	// cross-record state. After a successful call the source's
-	// Next/NextID must no longer be used.
-	Blocks(target int) (func() ([]byte, error), bool)
-	// NewBlockDecoder returns an independent decoder for one shard
-	// worker; each worker must own exactly one.
-	NewBlockDecoder() BlockDecoder
-}
-
-// BlockDecoder parses one block at a time, emitting its observations
-// in record order. The emitted slice is reused between calls, exactly
-// like Source.Next.
-type BlockDecoder interface {
-	Decode(block []byte, emit func(Observation) error) error
-}
-
 // Collect materialises a source into an in-memory Trace (the bridge
 // back to the batch pipeline for small inputs and tests). On a decode
 // error it closes the source (when the source supports Close) before
@@ -255,8 +229,7 @@ func parseBoolBytes(b []byte) (bool, bool) {
 // csvRow decodes one CSV record at a time: field splitting on borrowed
 // byte slices, integer/boolean parsing without intermediate strings,
 // and a symbol cache so repeated symbolic values share one string.
-// One csvRow backs the CSVSource; independent copies back the shard
-// decoders of the parallel ingest path.
+// One csvRow backs the CSVSource.
 type csvRow struct {
 	vars     []VarDef
 	obs      Observation // reused between records
@@ -590,82 +563,6 @@ func (s *CSVSource) NextID(in *Interner) (ObsID, error) {
 		s.idCache[string(raw)] = id
 	}
 	return id, nil
-}
-
-// Blocks implements BlockSource: over a slice-backed input with no
-// quoted fields, the remaining rows are handed out as line-aligned
-// blocks of roughly target bytes.
-func (s *CSVSource) Blocks(target int) (func() ([]byte, error), bool) {
-	sl, ok := s.ln.(*sliceLiner)
-	if !ok {
-		return nil, false
-	}
-	rest := sl.remaining()
-	for _, c := range rest {
-		if c == '"' {
-			// Quoted fields may span lines; block alignment on '\n'
-			// would tear records. The quote scan is one pass over the
-			// input, far cheaper than the decode it guards.
-			return nil, false
-		}
-	}
-	if target < 64*1024 {
-		target = 64 * 1024
-	}
-	return func() ([]byte, error) {
-		rest := sl.remaining()
-		if len(rest) == 0 {
-			return nil, io.EOF
-		}
-		n := target
-		if n >= len(rest) {
-			n = len(rest)
-		} else {
-			// Extend to the end of the current line.
-			for n < len(rest) && rest[n-1] != '\n' {
-				n++
-			}
-		}
-		sl.skip(n)
-		return rest[:n], nil
-	}, true
-}
-
-// NewBlockDecoder implements BlockSource.
-func (s *CSVSource) NewBlockDecoder() BlockDecoder {
-	return &csvBlockDecoder{row: newCSVRow(s.row.vars)}
-}
-
-type csvBlockDecoder struct {
-	row *csvRow
-}
-
-// Decode implements BlockDecoder. Blocks are quote-free by
-// construction (Blocks refuses inputs containing quotes).
-func (d *csvBlockDecoder) Decode(block []byte, emit func(Observation) error) error {
-	ln := sliceLiner{data: block}
-	for {
-		line, err := ln.next()
-		if err == io.EOF {
-			return nil
-		}
-		if n := len(line); n > 0 && line[n-1] == '\r' {
-			line = line[:n-1]
-		}
-		if len(line) == 0 {
-			continue
-		}
-		if err := d.row.splitRecord(line, false); err != nil {
-			return fmt.Errorf("trace csv: %w", err)
-		}
-		obs, err := d.row.decode(0)
-		if err != nil {
-			return err
-		}
-		if err := emit(obs); err != nil {
-			return err
-		}
-	}
 }
 
 // --- Events --------------------------------------------------------

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -233,83 +232,6 @@ func TestNextIDMatchesDecodeIntern(t *testing.T) {
 		for i := range got {
 			if got[i] != wantIDs[i] {
 				t.Fatalf("%s: id %d = %d, want %d", mode, i, got[i], wantIDs[i])
-			}
-		}
-	}
-}
-
-// TestCSVBlocks: block iteration must refuse quoted data, split
-// quote-free data on line boundaries covering every byte, and decode
-// block-by-block to the exact serial observation sequence.
-func TestCSVBlocks(t *testing.T) {
-	quoted := []byte("a:sym\n\"x,y\"\nplain\n")
-	srcQ, err := NewCSVSource(NewBytes(quoted))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := srcQ.Blocks(1 << 16); ok {
-		t.Fatal("Blocks accepted a trace containing quotes")
-	}
-
-	var buf bytes.Buffer
-	buf.WriteString("count:int,event:sym\n")
-	for i := 0; i < 120_000; i++ {
-		fmt.Fprintf(&buf, "%d,ev%d\n", i%9, i%4)
-	}
-	data := buf.Bytes()
-	want := collectCSV(t, data, true)
-
-	src, err := NewCSVSource(NewBytes(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, ok := src.Blocks(1 << 16)
-	if !ok {
-		t.Fatal("Blocks refused a quote-free trace")
-	}
-	var blocks [][]byte
-	for {
-		b, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b[len(b)-1] != '\n' {
-			t.Fatal("block not newline-aligned")
-		}
-		blocks = append(blocks, b)
-	}
-	if len(blocks) < 2 {
-		t.Fatalf("expected multiple blocks, got %d", len(blocks))
-	}
-	var joined []byte
-	for _, b := range blocks {
-		joined = append(joined, b...)
-	}
-	header := data[:bytes.IndexByte(data, '\n')+1]
-	if !bytes.Equal(joined, data[len(header):]) {
-		t.Fatal("blocks do not cover the body exactly")
-	}
-
-	dec := src.NewBlockDecoder()
-	var got []Observation
-	for _, b := range blocks {
-		if err := dec.Decode(b, func(obs Observation) error {
-			got = append(got, cloneObs(obs))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("block decode yields %d observations, want %d", len(got), len(want))
-	}
-	for i := range got {
-		for j := range got[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("observation %d field %d: %v, want %v", i, j, got[i][j], want[i][j])
 			}
 		}
 	}
