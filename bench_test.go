@@ -311,10 +311,14 @@ func benchGenerateModel(b *testing.B, opts learn.Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	P, err := model.Abstract(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
 	opts.Segmented = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := learn.GenerateModel(model.P, opts)
+		res, err := learn.GenerateModel(P, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

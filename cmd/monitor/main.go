@@ -8,12 +8,11 @@
 // Usage:
 //
 //	monitor -model system.t2m -in trace.csv [-informat csv|events|ftrace]
-//	        [-task comm-pid] [-stream] [-q] [-metrics-addr HOST:PORT]
+//	        [-task comm-pid] [-q] [-metrics-addr HOST:PORT]
 //
-// With -stream the trace is checked as it is decoded, in memory
-// bounded by the window size — the mode to use when following a long
-// or live trace (e.g. monitor -stream -in -). While checking,
-// -metrics-addr serves live counters at /metrics and /metrics.json
+// The trace is checked as it is decoded, in memory bounded by the
+// window size, so a long or live trace (e.g. monitor -in -) can be
+// checked as it is produced. While checking, -metrics-addr serves live counters at /metrics and /metrics.json
 // plus profiling at /debug/pprof/ — useful when the monitored trace
 // runs for hours.
 //
@@ -64,7 +63,7 @@ import (
 // it names every registered flag, so it cannot drift the way the old
 // hand-maintained synopsis did.
 const usage = `usage: monitor -model system.t2m -in trace.csv [-informat csv|events|ftrace]
-               [-task comm-pid] [-stream] [-q] [-metrics-addr HOST:PORT]
+               [-task comm-pid] [-q] [-metrics-addr HOST:PORT]
                [-stall-after D] [-synth-cache DIR] [-run-log DIR]
        monitor -model system.t2m -active -system counter|fifo|serial|usbslot
                [-probe N] [-seed N] [-q] [-metrics-addr HOST:PORT]
@@ -80,7 +79,7 @@ const usage = `usage: monitor -model system.t2m -in trace.csv [-informat csv|eve
 type options struct {
 	modelPath, in, informat, task string
 	workers                       int
-	stream, quiet                 bool
+	quiet                         bool
 	metricsAddr                   string
 	active                        bool
 	system                        string
@@ -105,7 +104,6 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.informat, "informat", "", "input format: csv, events, ftrace (default by extension)")
 	fs.StringVar(&o.task, "task", "", "ftrace: task to analyse (comm-pid)")
 	fs.IntVar(&o.workers, "j", 0, "solver-portfolio workers for -live relearning (0 = one per CPU, 1 = canonical solver only; results identical)")
-	fs.BoolVar(&o.stream, "stream", false, "check the trace as it streams: bounded memory, same verdict")
 	fs.BoolVar(&o.quiet, "q", false, "suppress the conforming-trace message")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof/ on this address while checking")
 	fs.BoolVar(&o.active, "active", false, "probe a live simulated system instead of reading a trace file")
@@ -202,38 +200,20 @@ func run(o *options) (int, error) {
 		model.SetTelemetry(tel)
 	}
 
-	var violation *repro.Violation
-	if o.stream {
-		src, closer, err := openSource(o.in, o.informat, o.task)
-		if err != nil {
-			return 2, err
+	src, closer, err := openSource(o.in, o.informat, o.task)
+	if err != nil {
+		return 2, err
+	}
+	violation, err := model.CheckSource(src)
+	closer()
+	if err != nil {
+		return 2, err
+	}
+	if violation == nil {
+		if !o.quiet {
+			fmt.Println("ok: model explains the whole trace")
 		}
-		violation, err = model.CheckSource(src)
-		closer()
-		if err != nil {
-			return 2, err
-		}
-		if violation == nil {
-			if !o.quiet {
-				fmt.Println("ok: model explains the whole trace")
-			}
-			return 0, writeRunRecord(o, tel, runlog.VerdictOK, time.Since(start), nil)
-		}
-	} else {
-		tr, err := readTrace(o.in, o.informat, o.task)
-		if err != nil {
-			return 2, err
-		}
-		violation, err = model.Check(tr)
-		if err != nil {
-			return 2, err
-		}
-		if violation == nil {
-			if !o.quiet {
-				fmt.Printf("ok: model explains all %d observations\n", tr.Len())
-			}
-			return 0, writeRunRecord(o, tel, runlog.VerdictOK, time.Since(start), nil)
-		}
+		return 0, writeRunRecord(o, tel, runlog.VerdictOK, time.Since(start), nil)
 	}
 	tel.Count("monitor_divergences_total").Add(1)
 	fmt.Println(violation)
@@ -292,7 +272,6 @@ func writeRunRecord(o *options, tel *repro.Telemetry, verdict string, elapsed ti
 			"informat": o.informat,
 			"task":     o.task,
 			"workers":  o.workers,
-			"stream":   o.stream,
 			"active":   o.active,
 			"system":   o.system,
 			"probe":    o.probe,
@@ -511,7 +490,7 @@ func openLiveSource(o *options, ctx context.Context) (repro.Source, func(), erro
 	}
 }
 
-// openSource opens the input as a streaming source for -stream mode.
+// openSource opens the input as a trace source for checking.
 func openSource(in, informat, task string) (repro.Source, func(), error) {
 	var f io.Reader = os.Stdin
 	closer := func() {}
@@ -554,31 +533,5 @@ func resolveFormat(in, informat string) string {
 		return "ftrace"
 	default:
 		return "events"
-	}
-}
-
-func readTrace(in, informat, task string) (*trace.Trace, error) {
-	var f io.Reader = os.Stdin
-	if in != "-" {
-		b, err := trace.OpenBytes(in)
-		if err != nil {
-			return nil, err
-		}
-		defer b.Close()
-		f = b
-	}
-	switch resolveFormat(in, informat) {
-	case "csv":
-		return trace.ReadCSV(f)
-	case "events":
-		return trace.ReadEvents(f)
-	case "ftrace":
-		evs, err := trace.ParseFtrace(f)
-		if err != nil {
-			return nil, err
-		}
-		return trace.FtraceToTrace(evs, task, nil), nil
-	default:
-		return nil, fmt.Errorf("unknown input format %q", informat)
 	}
 }

@@ -132,10 +132,7 @@ func run(o *options) (int, error) {
 			return 2, err
 		}
 	}
-	copts := core.Options{
-		Predicate: predicate.Options{Cache: o.scache},
-		Learn:     learn.Options{Portfolio: o.portfolio, Workers: o.workers},
-	}
+	copts := coreOptions(o)
 	// The refinement loop's counters land in the run record, so a probe
 	// run's residue (rounds, divergences, probe volume) is queryable
 	// from the archive.
@@ -250,6 +247,16 @@ func printRounds(rounds []active.Round) {
 	}
 }
 
+// coreOptions is the pipeline configuration of every learn a probe run
+// makes: the paper's segmented model search under the portfolio flags,
+// sharing the synthesis cache.
+func coreOptions(o *options) core.Options {
+	return core.Options{
+		Predicate: predicate.Options{Cache: o.scache},
+		Learn:     learn.Options{Segmented: true, Portfolio: o.portfolio, Workers: o.workers},
+	}
+}
+
 // writeBench records the run as a single-row BENCH_active.json
 // document, including the comparison against the passively learned
 // full-budget model.
@@ -258,10 +265,7 @@ func writeBench(o *options, sys systems.Scheduler, seedObs int, res *active.Resu
 	if err != nil {
 		return err
 	}
-	pl, err := core.NewPipeline(full.Schema(), core.Options{
-		Predicate: predicate.Options{Cache: o.scache},
-		Learn:     learn.Options{Portfolio: o.portfolio, Workers: o.workers},
-	})
+	pl, err := core.NewPipeline(full.Schema(), coreOptions(o))
 	if err != nil {
 		return err
 	}

@@ -18,11 +18,10 @@
 // Output is a summary plus the learned automaton, as text or Graphviz
 // DOT (-dot FILE).
 //
-// With -stream the trace file is never materialised: the decoder feeds
-// a sliding window directly into predicate synthesis and the learner
-// consumes the run-length-encoded predicate stream, so memory stays
-// bounded by the number of distinct windows regardless of trace
-// length. The learned automaton is byte-identical to the batch path.
+// The trace file is never materialised: the decoder feeds a sliding
+// window directly into predicate synthesis and the learner consumes
+// the run-length-encoded predicate stream, so memory stays bounded by
+// the number of distinct windows regardless of trace length.
 package main
 
 import (
@@ -50,7 +49,7 @@ type config struct {
 	predW, segW, compliL        int
 	maxStates                   int
 	workers, portfolio          int
-	noSeg, stream, quiet        bool
+	noSeg, quiet                bool
 	timeout                     time.Duration
 
 	// Crash safety (see README "Crash safety").
@@ -87,8 +86,7 @@ func main() {
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "search timeout (0 = none)")
 	flag.IntVar(&cfg.workers, "j", 0, "solver-portfolio workers: how many -portfolio members run at once (0 = one per CPU, 1 = canonical solver only; results identical)")
 	flag.IntVar(&cfg.portfolio, "portfolio", 0, "race this many SAT solver configurations per solve (0/1 = serial; results identical)")
-	flag.BoolVar(&cfg.stream, "stream", false, "stream the trace: bounded memory, identical model")
-	flag.StringVar(&cfg.checkpointDir, "checkpoint", "", "periodically checkpoint the run into this directory (requires -stream)")
+	flag.StringVar(&cfg.checkpointDir, "checkpoint", "", "periodically checkpoint the run into this directory")
 	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 0, "ingest checkpoint interval in observations (0 = 100000)")
 	flag.BoolVar(&cfg.resume, "resume", false, "resume from the newest valid checkpoint in -checkpoint instead of starting fresh")
 	flag.StringVar(&cfg.synthCacheDir, "synth-cache", "", "share synthesized window predicates across runs via this cache directory (identical model, warm runs faster)")
@@ -160,9 +158,6 @@ func telemetry(cfg config, store *runlog.Store) (*repro.Telemetry, func() error,
 func run(cfg config) (err error) {
 	if cfg.in == "" {
 		return fmt.Errorf("missing -in")
-	}
-	if cfg.checkpointDir != "" && !cfg.stream {
-		return fmt.Errorf("-checkpoint requires -stream")
 	}
 	if cfg.resume && cfg.checkpointDir == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
@@ -245,11 +240,7 @@ func run(cfg config) (err error) {
 		}
 	}
 
-	var (
-		model   *repro.Model
-		obsSeen int64
-		nVars   int
-	)
+	var model *repro.Model
 	start := time.Now()
 	// The run record is written on every exit path — success, error or
 	// interrupt — so the archive keeps the residue of failed runs too.
@@ -268,38 +259,25 @@ func run(cfg config) (err error) {
 			err = werr
 		}
 	}()
-	if cfg.stream {
-		src, closer, err := openSource(cfg.in, cfg.informat, cfg.task, cfg.signals)
-		if err != nil {
-			return err
-		}
-		nVars = src.Schema().Len()
-		model, err = repro.LearnSource(src, opts)
-		closer()
-		if err != nil {
-			return err
-		}
+	src, closer, err := openSource(cfg.in, cfg.informat, cfg.task, cfg.signals)
+	if err != nil {
+		return err
+	}
+	model, err = repro.LearnSource(src, opts)
+	closer()
+	if err != nil {
+		return err
+	}
+	elapsed := time.Since(start)
+
+	if !cfg.quiet {
+		var obsSeen int64
 		for _, st := range model.Stages {
 			if st.Name == "predicate" {
 				obsSeen = st.Counter("observations")
 			}
 		}
-	} else {
-		tr, err := readTrace(cfg.in, cfg.informat, cfg.task, cfg.signals)
-		if err != nil {
-			return err
-		}
-		nVars = tr.Schema().Len()
-		obsSeen = int64(tr.Len())
-		model, err = repro.Learn(tr, opts)
-		if err != nil {
-			return err
-		}
-	}
-	elapsed := time.Since(start)
-
-	if !cfg.quiet {
-		fmt.Printf("trace: %d observations over %d variables\n", obsSeen, nVars)
+		fmt.Printf("trace: %d observations over %d variables\n", obsSeen, src.Schema().Len())
 		fmt.Printf("predicate alphabet: %d symbols\n", len(model.Alphabet))
 		fmt.Printf("segments: %d, solver calls: %d, refinements: %d+%d\n",
 			model.LearnStats.Segments, model.LearnStats.SolverCalls,
@@ -386,7 +364,6 @@ func configMap(cfg config) map[string]any {
 		"no_segmentation": cfg.noSeg,
 		"workers":         cfg.workers,
 		"portfolio":       cfg.portfolio,
-		"stream":          cfg.stream,
 		"timeout":         cfg.timeout.String(),
 		"synth_cache":     cfg.synthCacheDir,
 	}
@@ -420,40 +397,6 @@ func writeRunRecord(store *runlog.Store, cfg config, model *repro.Model, tel *re
 	return err
 }
 
-func readTrace(in, informat, task, signals string) (*trace.Trace, error) {
-	var f io.Reader = os.Stdin
-	if in != "-" {
-		// OpenBytes mmaps the file when the platform allows, so the
-		// line decoders run zero-copy over the page cache.
-		b, err := trace.OpenBytes(in)
-		if err != nil {
-			return nil, err
-		}
-		defer b.Close()
-		f = b
-	}
-	switch detectFormat(in, informat) {
-	case "csv":
-		return trace.ReadCSV(f)
-	case "events":
-		return trace.ReadEvents(f)
-	case "ftrace":
-		evs, err := trace.ParseFtrace(f)
-		if err != nil {
-			return nil, err
-		}
-		return trace.FtraceToTrace(evs, task, nil), nil
-	case "vcd":
-		var names []string
-		if signals != "" {
-			names = strings.Split(signals, ",")
-		}
-		return trace.ReadVCD(f, names)
-	default:
-		return nil, fmt.Errorf("unknown input format %q", informat)
-	}
-}
-
 // detectFormat resolves the input format from the flag or the file
 // extension.
 func detectFormat(in, informat string) string {
@@ -472,16 +415,16 @@ func detectFormat(in, informat string) string {
 	}
 }
 
-// openSource opens the input as a streaming trace source. The returned
-// closer releases the underlying file (a no-op for stdin).
+// openSource opens the input as a trace source; every input format
+// goes through it. The returned closer releases the underlying file (a
+// no-op for stdin).
 func openSource(in, informat, task, signals string) (repro.Source, func(), error) {
 	var f io.Reader = os.Stdin
 	closer := func() {}
 	if in != "-" {
 		// OpenBytes mmaps the file when the platform allows: the CSV,
 		// events and ftrace sources then decode zero-copy straight out
-		// of the page cache (and CSV additionally becomes eligible for
-		// sharded block ingestion).
+		// of the page cache.
 		b, err := trace.OpenBytes(in)
 		if err != nil {
 			return nil, nil, err

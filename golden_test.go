@@ -107,9 +107,13 @@ func TestGoldenExamples(t *testing.T) {
 				{"scratch", learn.Options{Segmented: true, ScratchRefinement: true}},
 				{"portfolio", learn.Options{Segmented: true, Portfolio: 4, Workers: 4}},
 			}
+			P, err := model.Abstract(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
 			ref := model.Automaton.String()
 			for _, mode := range modes {
-				res, err := learn.GenerateModel(model.P, mode.opts)
+				res, err := learn.GenerateModel(P, mode.opts)
 				if err != nil {
 					t.Fatalf("%s relearn: %v", mode.name, err)
 				}

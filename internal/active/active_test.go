@@ -77,15 +77,15 @@ func TestRefineReachesPassiveFixpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := learnPassive(t, full, core.Options{})
+			ref := learnPassive(t, full, core.Options{Learn: learn.Options{Segmented: true}})
 			seed := full.Slice(0, tc.truncate)
 
 			configs := []struct {
 				label string
 				learn learn.Options
 			}{
-				{"serial", learn.Options{}},
-				{"portfolio-w4", learn.Options{Portfolio: 2, Workers: 4}},
+				{"serial", learn.Options{Segmented: true}},
+				{"portfolio-w4", learn.Options{Segmented: true, Portfolio: 2, Workers: 4}},
 			}
 			var baseline string
 			for _, cfg := range configs {

@@ -1,5 +1,5 @@
-// Checkpointed streaming ingestion: this file drives LearnSource when
-// core.Options.Checkpoint is enabled. The source is consumed in
+// Checkpointed ingestion: this file drives the learn driver's
+// single source when core.Options.Checkpoint is enabled. The source is consumed in
 // bounded epochs (Config.Every observations per SequenceSource call);
 // each epoch boundary is a quiescent point — the windower has
 // returned, so the generator, the RLE run log and the
@@ -59,8 +59,8 @@ func renderSchema(schema *trace.Schema) string {
 	return strings.Join(fields, ",")
 }
 
-// ckptDriver owns everything checkpoint-specific about one LearnSource
-// run: the running input digest, the priming ring, the epoch loop, the
+// ckptDriver owns everything checkpoint-specific about one learn run:
+// the running input digest, the priming ring, the epoch loop, the
 // checkpoint manager and the learn-stage write hook.
 type ckptDriver struct {
 	p      *Pipeline
@@ -82,7 +82,7 @@ type ckptDriver struct {
 
 	pending trace.Observation // owned, prefetched across an epoch boundary
 
-	seq *learn.Seq // the run log LearnSource is building (shared)
+	seq *learn.Seq // the run log the learn driver is building (shared)
 
 	// Ingestion state frozen at the ingest→model transition, reused by
 	// every model-phase write.
@@ -456,8 +456,17 @@ func (es *epochSource) Next() (trace.Observation, error) {
 	return obs, nil
 }
 
-// ctxSource makes a plain (non-checkpointed) streaming run cancellable
-// between observations.
+// cancellable wraps src so a plain (non-checkpointed) run stops
+// between observations once the pipeline's context is done; without a
+// context src is returned unchanged.
+func (p *Pipeline) cancellable(src trace.Source) trace.Source {
+	if ctx := p.opts.Context; ctx != nil {
+		return &ctxSource{src: src, ctx: ctx}
+	}
+	return src
+}
+
+// ctxSource is the source cancellable returns.
 type ctxSource struct {
 	src  trace.Source
 	ctx  context.Context

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/automaton"
 	"repro/internal/checkpoint"
@@ -45,8 +46,9 @@ type Options struct {
 	// error and never leaves partial state behind.
 	Context context.Context
 	// Checkpoint enables periodic crash-consistent snapshots of
-	// LearnSource runs, and resume from them (see internal/checkpoint
-	// and checkpoint.go). The zero value disables checkpointing.
+	// single-source learning runs, and resume from them (see
+	// internal/checkpoint and checkpoint.go). The zero value disables
+	// checkpointing.
 	Checkpoint checkpoint.Config
 }
 
@@ -109,7 +111,6 @@ func (p *Pipeline) Generator() *predicate.Generator { return p.gen }
 // and check further traces.
 type Model struct {
 	Automaton *automaton.NFA
-	P         []string
 	Alphabet  map[string]*predicate.Predicate
 	States    int
 
@@ -173,17 +174,6 @@ func (m *Model) BuildManifest(tel *pipeline.Telemetry) *pipeline.Manifest {
 	return man
 }
 
-// predicateSpan ends a predicate-abstraction span with the stage's
-// counters, computed as the generator-stats delta across the stage.
-func predicateSpan(sp *pipeline.Span, d predicate.Stats) {
-	sp.Add("windows", int64(d.Windows)).
-		Add("memo_hits", int64(d.MemoHits)).
-		Add("unique_windows", int64(d.UniqueWindows)).
-		Add("synth_calls", int64(d.SynthCalls)).
-		Add("seed_hits", int64(d.SeedHits)).
-		End()
-}
-
 // endPredicateStage closes a predicate stage trace span with the
 // generator-stats delta of the stage.
 func endPredicateStage(tr *pipeline.Tracer, id pipeline.SpanID, d predicate.Stats) {
@@ -235,104 +225,192 @@ func (p *Pipeline) Learn(tr *trace.Trace) (*Model, error) {
 	if tr == nil || tr.Len() < 2 {
 		return nil, errors.New("core: trace must have at least 2 observations")
 	}
-	var metrics pipeline.Metrics
-	ttr := p.opts.Telemetry.Trace()
-	run := ttr.Start(0, "run")
-	before := p.gen.Stats()
-	sp := metrics.Start("predicate")
-	stage := p.startStage(run, "predicate")
-	preds, err := p.gen.Sequence(tr)
-	if err != nil {
-		ttr.End(stage)
-		ttr.End(run)
-		return nil, err
-	}
-	d := p.gen.Stats().Minus(before)
-	endPredicateStage(ttr, stage, d)
-	predicateSpan(sp, d)
-	P := make([]string, len(preds))
-	alphabet := make(map[string]*predicate.Predicate)
-	for i, pr := range preds {
-		P[i] = pr.Key
-		alphabet[pr.Key] = pr
-	}
-	sp = metrics.Start("model")
-	lo := p.opts.Learn
-	lo.TraceSpan = p.startStage(run, "model")
-	res, err := learn.GenerateModel(P, lo)
-	endModelStage(ttr, lo.TraceSpan, res)
-	ttr.End(run)
-	if err != nil {
-		return nil, fmt.Errorf("core: model construction: %w", err)
-	}
-	modelSpan(sp, res.Stats)
-	return &Model{
-		Automaton:      res.Automaton,
-		P:              P,
-		Alphabet:       alphabet,
-		States:         res.Stats.FinalStates,
-		PredicateStats: p.gen.Stats(),
-		LearnStats:     res.Stats,
-		Stages:         metrics.Stages(),
-		pipeline:       p,
-	}, nil
+	return p.learn([]trace.Source{trace.NewTraceSource(tr)})
 }
 
-// LearnAll learns one model from several traces of the same system —
-// independent runs all starting in the same initial state, exercising
-// behaviours one run alone may miss. Predicate abstraction is shared
-// (one alphabet) and the learned automaton accepts every run.
-func (p *Pipeline) LearnAll(trs []*trace.Trace) (*Model, error) {
-	if len(trs) == 0 {
-		return nil, errors.New("core: no traces")
+// LearnSource runs the full pipeline on a streamed trace.
+func (p *Pipeline) LearnSource(src trace.Source) (*Model, error) {
+	return p.learn([]trace.Source{src})
+}
+
+// LearnSources learns one model from several traces of the same
+// system — independent runs all starting in the same initial state,
+// exercising behaviours one run alone may miss. Predicate abstraction
+// is shared (one alphabet) and the learned automaton accepts every
+// run. It is the fold step of the active-probing loop: each probe
+// round relearns from [seed trace, probe trace].
+//
+// Checkpointing is refused for more than one source: the checkpoint
+// driver snapshots one source's ingestion front. Callers that need
+// crash safety around multi-trace learning (the active loop) get it
+// at a coarser grain — every round's relearn is a complete, atomic
+// LearnSources run, so a crash rolls back to the previous round's
+// model.
+func (p *Pipeline) LearnSources(srcs []trace.Source) (*Model, error) {
+	if len(srcs) == 0 {
+		return nil, errors.New("core: no sources")
+	}
+	return p.learn(srcs)
+}
+
+// learn is the one learn driver behind Learn, LearnSource and
+// LearnSources. Each source is windowed straight into its own
+// run-length-encoded predicate sequence and the sequences are solved
+// together, so resident memory is O(window + unique windows + unique
+// grams + RLE runs), never O(trace length), and the expanded predicate
+// sequence is never materialised. A collected trace is fed as a
+// trace.TraceSource, so it learns exactly the automaton its file
+// streamed does.
+//
+// The predicate stage metrics carry the generator counters plus
+// observations (windows plus w−1 per source), bytes_read (when a
+// source reads a byte stream), obs_per_sec, runs and peak_heap. With
+// Options.Checkpoint enabled a single-source run is periodically
+// snapshotted (and possibly resumed — see checkpoint.go); with
+// Options.Context set it is cancellable at observation and
+// solver-round boundaries. Both produce models byte-identical to a
+// plain uninterrupted run.
+func (p *Pipeline) learn(srcs []trace.Source) (*Model, error) {
+	if p.opts.Checkpoint.Enabled() && len(srcs) > 1 {
+		return nil, errors.New("core: checkpointing is not supported for multi-source learning")
 	}
 	var metrics pipeline.Metrics
-	ttr := p.opts.Telemetry.Trace()
+	tel := p.opts.Telemetry
+	ttr := tel.Trace()
 	run := ttr.Start(0, "run")
 	before := p.gen.Stats()
+	hs := pipeline.StartHeapSampler(0)
 	sp := metrics.Start("predicate")
 	stage := p.startStage(run, "predicate")
-	Ps := make([][]string, len(trs))
+	wallStart := time.Now()
+	abort := func() {
+		hs.Stop()
+		ttr.End(stage)
+		ttr.End(run)
+	}
+
+	// Live gauges: heap from the sampler (its cached values stay
+	// readable after Stop), observation throughput from the windows
+	// counter. Registered per run; later runs simply replace them.
+	tel.Gauge("heap_bytes", func() float64 { return float64(hs.Current()) })
+	tel.Gauge("peak_heap_bytes", func() float64 { return float64(hs.Peak()) })
+	windows := tel.Count("predicate_windows_total")
+	tel.Gauge("obs_per_sec", func() float64 {
+		secs := time.Since(wallStart).Seconds()
+		if secs <= 0 {
+			return 0
+		}
+		return float64(windows.Value()) / secs
+	})
+	hRunLen := tel.Hist("predicate_run_len", "windows")
+
+	var drv *ckptDriver
+	if p.opts.Checkpoint.Enabled() {
+		var err error
+		if drv, err = newCkptDriver(p, p.opts.Checkpoint); err != nil {
+			abort()
+			return nil, err
+		}
+		drv.runSpan = run
+	}
+
+	seqs := make([]*learn.Seq, len(srcs))
+	for i := range seqs {
+		seqs[i] = learn.NewSeq()
+	}
 	alphabet := make(map[string]*predicate.Predicate)
-	for i, tr := range trs {
-		if tr == nil || tr.Len() < 2 {
-			ttr.End(stage)
-			ttr.End(run)
-			return nil, fmt.Errorf("core: trace %d must have at least 2 observations", i)
+	var resumeLearn *learn.CheckpointState
+	if drv != nil && drv.from != nil {
+		var err error
+		if seqs[0], alphabet, resumeLearn, err = drv.restore(); err != nil {
+			abort()
+			return nil, err
 		}
-		preds, err := p.gen.Sequence(tr)
+	}
+	var bytesRead int64
+	for i, src := range srcs {
+		seq := seqs[i]
+		// Predicates are interned, so their pointers are the cheap
+		// identity: cache the per-predicate symbol id and alphabet
+		// insertion to avoid hashing the (long) predicate key on every
+		// run.
+		symIDs := map[*predicate.Predicate]int{}
+		emit := func(r predicate.Run) error {
+			id, ok := symIDs[r.Pred]
+			if !ok {
+				alphabet[r.Pred.Key] = r.Pred
+				id = seq.InternSym(r.Pred.Key)
+				symIDs[r.Pred] = id
+			}
+			seq.AppendID(id, r.Count)
+			hRunLen.Observe(int64(r.Count))
+			return nil
+		}
+		var err error
+		if drv != nil {
+			drv.seq = seq
+			err = drv.ingest(src, emit)
+		} else {
+			err = p.gen.SequenceSource(p.cancellable(src), emit)
+		}
 		if err != nil {
-			ttr.End(stage)
-			ttr.End(run)
-			return nil, fmt.Errorf("core: trace %d: %w", i, err)
+			abort()
+			if len(srcs) > 1 {
+				err = fmt.Errorf("source %d: %w", i, err)
+			}
+			return nil, p.interrupted("predicate", err)
 		}
-		P := make([]string, len(preds))
-		for j, pr := range preds {
-			P[j] = pr.Key
-			alphabet[pr.Key] = pr
+		if bs, ok := src.(trace.ByteSource); ok {
+			bytesRead += bs.BytesRead()
 		}
-		Ps[i] = P
 	}
 	d := p.gen.Stats().Minus(before)
+	observations := int64(d.Windows) + int64(len(srcs))*int64(p.gen.Window()-1)
+	sp.Add("windows", int64(d.Windows)).
+		Add("memo_hits", int64(d.MemoHits)).
+		Add("unique_windows", int64(d.UniqueWindows)).
+		Add("synth_calls", int64(d.SynthCalls)).
+		Add("seed_hits", int64(d.SeedHits)).
+		Add("observations", observations)
+	if bytesRead > 0 {
+		sp.Add("bytes_read", bytesRead)
+	}
+	if secs := time.Since(wallStart).Seconds(); secs > 0 {
+		rate := float64(observations) / secs
+		sp.Add("obs_per_sec", int64(rate))
+		// Freeze the throughput gauge at the stage's final rate so a
+		// lingering /metrics endpoint reports the run, not the decay.
+		tel.Gauge("obs_per_sec", func() float64 { return rate })
+	}
+	runs := 0
+	for _, seq := range seqs {
+		runs += seq.Runs()
+	}
+	sp.Add("runs", int64(runs)).
+		Add("peak_heap", int64(hs.Stop())).
+		End()
 	endPredicateStage(ttr, stage, d)
-	predicateSpan(sp, d)
+
 	sp = metrics.Start("model")
 	lo := p.opts.Learn
 	lo.TraceSpan = p.startStage(run, "model")
-	res, err := learn.GenerateModelMulti(Ps, lo)
+	if drv != nil {
+		drv.freezeIngest()
+		lo.Resume = resumeLearn
+		lo.Checkpoint = drv.learnHook
+	}
+	res, err := learn.GenerateModelSeqs(seqs, lo)
 	endModelStage(ttr, lo.TraceSpan, res)
 	ttr.End(run)
 	if err != nil {
+		if ierr := p.interrupted("model", err); ierr != err {
+			return nil, ierr
+		}
 		return nil, fmt.Errorf("core: model construction: %w", err)
 	}
 	modelSpan(sp, res.Stats)
-	var flat []string
-	for _, P := range Ps {
-		flat = append(flat, P...)
-	}
 	return &Model{
 		Automaton:      res.Automaton,
-		P:              flat,
 		Alphabet:       alphabet,
 		States:         res.Stats.FinalStates,
 		PredicateStats: p.gen.Stats(),
@@ -392,28 +470,50 @@ func (m *Model) Abstract(tr *trace.Trace) ([]string, error) {
 // paper's monitoring application: learned kernel models checking live
 // scheduler traces.
 func (m *Model) Check(tr *trace.Trace) (*Violation, error) {
-	preds, err := m.pipeline.gen.Sequence(tr)
-	if err != nil {
-		return nil, err
-	}
+	return m.CheckSource(trace.NewTraceSource(tr))
+}
+
+// errCheckDone aborts the predicate stream once CheckSource has found
+// its violation; it never escapes.
+var errCheckDone = errors.New("core: check finished")
+
+// CheckSource is Check for sources: the trace is abstracted as it is
+// decoded and never materialised, so arbitrarily long live traces can
+// be monitored in bounded memory.
+func (m *Model) CheckSource(src trace.Source) (*Violation, error) {
 	known := map[string]bool{}
 	for _, sym := range m.Automaton.Symbols() {
 		known[sym] = true
 	}
 	cur := m.Automaton.Initial()
-	for i, pr := range preds {
-		succ := m.Automaton.Successors(cur, pr.Key)
-		if len(succ) == 0 {
-			return &Violation{
-				Position:    i,
-				Predicate:   pr.Key,
-				KnownSymbol: known[pr.Key],
-				State:       cur,
-			}, nil
+	pos := 0
+	var v *Violation
+	err := m.pipeline.gen.SequenceSource(m.pipeline.cancellable(src), func(r predicate.Run) error {
+		for i := 0; i < r.Count; i++ {
+			succ := m.Automaton.Successors(cur, r.Pred.Key)
+			if len(succ) == 0 {
+				v = &Violation{
+					Position:    pos,
+					Predicate:   r.Pred.Key,
+					KnownSymbol: known[r.Pred.Key],
+					State:       cur,
+				}
+				return errCheckDone
+			}
+			if succ[0] == cur {
+				// Self-loop: the rest of the run stays put.
+				pos += r.Count - i
+				break
+			}
+			cur = succ[0]
+			pos++
 		}
-		cur = succ[0]
+		return nil
+	})
+	if err != nil && !errors.Is(err, errCheckDone) {
+		return nil, err
 	}
-	return nil, nil
+	return v, nil
 }
 
 // Explain returns, for every automaton transition, one witness step

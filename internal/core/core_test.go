@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -39,12 +40,17 @@ func TestLearnAndCheck(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		evs = append(evs, "a", "b")
 	}
-	m, err := p.Learn(trace.FromEvents(evs))
+	tr := trace.FromEvents(evs)
+	m, err := p.Learn(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.States == 0 || len(m.P) != len(evs)-1 {
-		t.Fatalf("model: states=%d |P|=%d", m.States, len(m.P))
+	P, err := m.Abstract(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.States == 0 || len(P) != len(evs)-1 {
+		t.Fatalf("model: states=%d |P|=%d", m.States, len(P))
 	}
 	v, err := m.Check(trace.FromEvents([]string{"a", "b", "a", "b"}))
 	if err != nil {
@@ -125,5 +131,72 @@ func TestPipelineSharedAlphabet(t *testing.T) {
 	}
 	if p.Generator() == nil {
 		t.Error("nil generator")
+	}
+}
+
+// walkCheck is the reference Check: a step-by-step walk of the
+// abstracted predicate sequence, one transition per symbol.
+func walkCheck(m *Model, P []string) *Violation {
+	known := map[string]bool{}
+	for _, sym := range m.Automaton.Symbols() {
+		known[sym] = true
+	}
+	cur := m.Automaton.Initial()
+	for i, sym := range P {
+		succ := m.Automaton.Successors(cur, sym)
+		if len(succ) == 0 {
+			return &Violation{Position: i, Predicate: sym, KnownSymbol: known[sym], State: cur}
+		}
+		cur = succ[0]
+	}
+	return nil
+}
+
+// TestCheckMatchesWalk pins Check's run-skipping walk (whole
+// self-loop runs are skipped in one step) to a symbol-by-symbol walk of
+// m.Abstract(tr): position, predicate, known-symbol flag and state
+// agree on a novel symbol, a known symbol in the wrong state, a
+// violation right after a long self-loop run, and a conforming trace.
+func TestCheckMatchesWalk(t *testing.T) {
+	p := testPipeline(t, trace.EventSchema())
+	var train []string
+	for i := 0; i < 6; i++ {
+		train = append(train, "idle", "idle", "idle", "idle", "req", "ack")
+	}
+	m, err := p.Learn(trace.FromEvents(train))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idles := strings.Repeat("idle ", 40)
+	cases := []struct {
+		name  string
+		evs   string
+		ok    bool // conforming
+		known bool // violating symbol occurs in the model
+	}{
+		{"novel", "idle idle foo idle", false, false},
+		{"wrong-state", "idle idle req req idle", false, true},
+		{"after-self-loop", idles + "ack idle", false, true},
+		{"conforming", idles + "req ack idle idle req ack idle", true, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := trace.FromEvents(strings.Fields(tc.evs))
+			P, err := m.Abstract(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := walkCheck(m, P)
+			if (want == nil) != tc.ok || (want != nil && want.KnownSymbol != tc.known) {
+				t.Fatalf("reference walk gives %v; the case does not exercise what it names", want)
+			}
+			got, err := m.Check(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (got == nil) != (want == nil) || (got != nil && *got != *want) {
+				t.Errorf("Check = %+v, walk = %+v", got, want)
+			}
+		})
 	}
 }

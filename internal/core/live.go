@@ -30,13 +30,7 @@ func (p *Pipeline) NewMaintainer(opts live.Options) (*live.Maintainer, error) {
 // or context cancellation). On a clean end the maintainer's model
 // covers the entire consumed stream.
 func (p *Pipeline) MaintainSource(src trace.Source, m *live.Maintainer) error {
-	var err error
-	if ctx := p.opts.Context; ctx != nil {
-		err = p.gen.SequenceSource(&ctxSource{src: src, ctx: ctx}, m.Feed)
-	} else {
-		err = p.gen.SequenceSource(src, m.Feed)
-	}
-	if err != nil {
+	if err := p.gen.SequenceSource(p.cancellable(src), m.Feed); err != nil {
 		return p.interrupted("predicate", err)
 	}
 	return m.Finish()

@@ -55,10 +55,11 @@ var activeTruncations = map[string]int{
 }
 
 // activeCoreOptions maps the package-level evaluation knobs onto the
-// pipeline options the refinement loop takes.
+// pipeline options the refinement loop takes, with the paper's
+// segmented model search that repro.Learn runs by default.
 func activeCoreOptions() core.Options {
 	return core.Options{
-		Learn:     learn.Options{Portfolio: Portfolio, Workers: Workers},
+		Learn:     learn.Options{Segmented: true, Portfolio: Portfolio, Workers: Workers},
 		Telemetry: Telemetry,
 		Context:   Context,
 	}

@@ -206,7 +206,15 @@ func TestModelsAcceptTheirTraces(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		if !m.Automaton.Accepts(m.P) {
+		tr, err := c.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		P, err := m.Abstract(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Automaton.Accepts(P) {
 			t.Errorf("%s: model rejects its own predicate sequence", c.Name)
 		}
 	}

@@ -191,10 +191,9 @@ func RunIngest(stepsList []int) ([]IngestRow, error) {
 		}
 		batchWall := time.Since(t0)
 		batchPeak := hs.Stop()
-		// Keep only what the comparison needs: the batch model retains
-		// the expanded predicate sequence (O(n) strings), which would
-		// otherwise sit in the live set and skew the streaming
-		// measurement's GC pacing.
+		// Keep only what the comparison needs: the collected trace
+		// (O(n) observations) would otherwise sit in the live set and
+		// skew the streaming measurement's GC pacing.
 		batchAut := mBatch.Automaton.String()
 		tr, mBatch = nil, nil
 		_ = tr

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -172,5 +173,68 @@ func TestCollectNonCloserSource(t *testing.T) {
 	base := New(MustSchema(VarDef{Name: "x", Type: expr.Int}))
 	if _, err := Collect(NewTraceSource(base)); err != nil {
 		t.Fatalf("Collect over TraceSource: %v", err)
+	}
+}
+
+// TestFtraceSourceMatchesBatch pins the streaming ftrace decoder to the
+// batch one: collecting NewFtraceSource yields exactly
+// FtraceToTrace(ParseFtrace(log)), with and without a task filter and
+// a rename hook, over a multi-task log with comments, blank lines and
+// lines with and without the flags column.
+func TestFtraceSourceMatchesBatch(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("# tracer: nop\n#\n")
+	tasks := []string{"pi_stress-2314", "<idle>-0", "rcu_preempt-9"}
+	names := []string{"sched_switch", "sched_waking", "sched_wakeup", "irq_handler_entry"}
+	for i := 0; i < 200; i++ {
+		task, name := tasks[i*7%len(tasks)], names[i*5%len(names)]
+		if i%3 == 0 {
+			fmt.Fprintf(&b, "%s  [%03d]  %d.%06d: %s: seq=%d\n", task, i%4, 100+i/10, i*37%1000000, name, i)
+		} else {
+			fmt.Fprintf(&b, "%s  [%03d] d..3  %d.%06d: %s: seq=%d\n", task, i%4, 100+i/10, i*37%1000000, name, i)
+		}
+		if i%50 == 49 {
+			b.WriteString("\n# marker\n")
+		}
+	}
+	log := b.String()
+	rename := func(ev FtraceEvent) string {
+		if ev.Name == "irq_handler_entry" {
+			return ""
+		}
+		return ev.Task + ":" + ev.Name
+	}
+	evs, err := ParseFtrace(strings.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range append([]string{""}, tasks...) {
+		for _, rn := range []struct {
+			name string
+			fn   func(FtraceEvent) string
+		}{{"plain", nil}, {"rename", rename}} {
+			label := task
+			if label == "" {
+				label = "all"
+			}
+			t.Run(label+"/"+rn.name, func(t *testing.T) {
+				want := FtraceToTrace(evs, task, rn.fn)
+				got, err := Collect(NewFtraceSource(strings.NewReader(log), task, rn.fn))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Schema().Equal(want.Schema()) {
+					t.Fatalf("schema %v, want %v", got.Schema(), want.Schema())
+				}
+				ge, _ := got.Events()
+				we, _ := want.Events()
+				if len(we) == 0 {
+					t.Fatal("batch decode selected no events")
+				}
+				if strings.Join(ge, "\n") != strings.Join(we, "\n") {
+					t.Errorf("source decoded %d events %v\nbatch %d events %v", len(ge), ge, len(we), we)
+				}
+			})
+		}
 	}
 }

@@ -194,14 +194,15 @@ type LearnOptions struct {
 	// near-zero cost; telemetry never changes learned models.
 	Telemetry *Telemetry
 	// Context cancels the run at safe boundaries (between
-	// observations during streaming ingestion, inside predicate
+	// observations during ingestion, inside predicate
 	// synthesis, between solver rounds during model construction).
 	// Cancellation surfaces as an "interrupted at stage X" error; with
 	// checkpointing enabled, the last checkpoint remains valid and
 	// resumable. Nil means never cancelled.
 	Context context.Context
 	// CheckpointDir enables periodic crash-consistent checkpoints of
-	// streaming runs (LearnSource only): snapshots of the interner,
+	// single-trace runs (Learn and LearnSource; LearnTraces with more
+	// than one trace refuses it): snapshots of the interner,
 	// memo, predicate-run log and model-search state land in this
 	// directory, written atomically with a versioned, hash-chained
 	// format (see internal/checkpoint). Empty disables checkpointing.
@@ -263,9 +264,10 @@ func InspectCheckpoint(dir string) (*CheckpointInfo, error) {
 	}, nil
 }
 
-// Model is a learned model: the automaton, its predicate alphabet, the
-// intermediate predicate sequence, and the monitoring interface
-// (Check, Explain) of internal/core.
+// Model is a learned model: the automaton, its predicate alphabet,
+// the run's statistics, and the monitoring interface (Check, Explain)
+// of internal/core. Model.Abstract recomputes a trace's predicate
+// sequence.
 type Model = core.Model
 
 // Violation is the first unexplained behaviour found by Model.Check.
@@ -374,9 +376,8 @@ func NewPipeline(schema *Schema, opts LearnOptions) (*Pipeline, error) {
 // LearnSource runs the paper's full pipeline on a streamed trace:
 // bounded-memory predicate synthesis over a sliding window, then
 // SAT-based model construction from the run-length-encoded predicate
-// sequence. The learned automaton is byte-identical to Learn over the
-// same observations; the model's P field is nil because the expanded
-// predicate sequence is never materialised.
+// sequence. Learn feeds a collected trace through the same path, so
+// both learn the same automaton from the same observations.
 func LearnSource(src Source, opts LearnOptions) (*Model, error) {
 	if src == nil {
 		return nil, errors.New("repro: nil source")
@@ -401,11 +402,18 @@ func LearnTraces(trs []*Trace, opts LearnOptions) (*Model, error) {
 	if len(trs) == 0 {
 		return nil, errors.New("repro: no traces")
 	}
+	srcs := make([]Source, len(trs))
+	for i, tr := range trs {
+		if tr == nil || tr.Len() < 2 {
+			return nil, fmt.Errorf("repro: trace %d must have at least 2 observations", i)
+		}
+		srcs[i] = trace.NewTraceSource(tr)
+	}
 	p, err := NewPipeline(trs[0].Schema(), opts)
 	if err != nil {
 		return nil, err
 	}
-	return p.LearnAll(trs)
+	return p.LearnSources(srcs)
 }
 
 // SaveModel serialises a learned model (automaton, predicate alphabet,

@@ -234,8 +234,16 @@ func TestConsistentAlphabetAcrossTraces(t *testing.T) {
 	if len(m1.Alphabet) != 1 || len(m2.Alphabet) < 1 {
 		t.Fatalf("alphabets: %v, %v", m1.Alphabet, m2.Alphabet)
 	}
-	if m1.P[0] != m2.P[0] {
-		t.Errorf("alphabet inconsistent across traces: %q vs %q", m1.P[0], m2.P[0])
+	P1, err := m1.Abstract(mk(0, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	P2, err := m2.Abstract(mk(100, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if P1[0] != P2[0] {
+		t.Errorf("alphabet inconsistent across traces: %q vs %q", P1[0], P2[0])
 	}
 }
 
