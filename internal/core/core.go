@@ -203,6 +203,7 @@ func endModelStage(tr *pipeline.Tracer, id pipeline.SpanID, res *learn.Result) {
 		pipeline.Int("states", int64(s.FinalStates)),
 		pipeline.Int("segments", int64(s.Segments)),
 		pipeline.Int("solver_calls", int64(s.SolverCalls)),
+		pipeline.Int("canon_solves", int64(s.CanonSolves)),
 		pipeline.Int("refinements", int64(s.Refinements+s.AcceptRefinements)),
 		pipeline.Int("sat_conflicts", s.SATConflicts))
 }
@@ -211,6 +212,7 @@ func endModelStage(tr *pipeline.Tracer, id pipeline.SpanID, res *learn.Result) {
 func modelSpan(sp *pipeline.Span, s learn.Stats) {
 	sp.Add("segments", int64(s.Segments)).
 		Add("solver_calls", int64(s.SolverCalls)).
+		Add("canon_solves", int64(s.CanonSolves)).
 		Add("refinements", int64(s.Refinements+s.AcceptRefinements)).
 		Add("sat_conflicts", s.SATConflicts).
 		Add("sat_decisions", s.SATDecisions).

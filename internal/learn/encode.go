@@ -37,10 +37,10 @@ import (
 //	                 check, no state path may realise it
 //	                 (lines 43–45).
 //
-// A satisfying assignment is decoded into the automaton by reading the
-// slot states along every segment, so the extracted model contains
-// exactly the witnessed transitions. t variables are given a false
-// preferred polarity for the same reason.
+// A satisfying assignment is decoded into the automaton by reading its
+// true t variables (extract). t variables are given a false preferred
+// polarity so that raw models stay close to the transitions the
+// segments witness; canonicalize then pins the lex-least relation.
 //
 // The encoding is incremental in two directions. Within a state count,
 // blockGram and addSegment extend the live solver, which keeps its
@@ -80,7 +80,8 @@ type encoding struct {
 // has grown past the armed threshold. A fresh encoding only arms the
 // threshold: there are no level-0 facts to exploit before the first
 // solve. Simplification preserves logical equivalence, so statuses,
-// cores and — via canonical extraction — models are unchanged; a
+// cores and — via canonical extraction — accepted models are
+// unchanged (raw models, and so the grams they block, may differ); a
 // top-level contradiction it uncovers surfaces as Unsat from the next
 // solve, exactly as if the solver had found it itself.
 func (e *encoding) maybeSimplify() {
@@ -335,51 +336,81 @@ func (e *encoding) preferTransitions(polarity bool) {
 
 // canonicalize pins the solver's model to the canonical one: the
 // lexicographically least transition relation (in state, symbol,
-// successor order) consistent with the current constraints. For each
-// transition variable that is true in the current model it asks, with
-// one incremental assumption solve, whether the formula stays
-// satisfiable with the variable false, fixing the answer as a further
-// assumption either way. The resulting projection is a function of the
-// constraint set alone — independent of learned clauses, activity
-// scores, saved phases, chunking, or which portfolio member raced
-// ahead — which is what makes incremental, scratch and portfolio
-// construction extract identical automata. The solver must be in a Sat
-// state; it is left in a Sat state whose model realises the canonical
-// relation. Cost: one cheap solve per true transition variable
-// (roughly, per transition of the model).
-func (e *encoding) canonicalize() {
+// successor order) consistent with the current constraints. It walks
+// the transition variables in that order with a witness — a model that
+// satisfies every fix made so far. A variable the witness sets false is
+// fixed false without a solve. A variable it sets true is probed with
+// one incremental assumption solve: Sat fixes it false and the probe's
+// model becomes the witness; Unsat fixes it true and keeps the witness,
+// which already sets it true and satisfies every earlier fix. This is
+// the greedy lex-min rule — a variable is fixed false exactly when some
+// model satisfies all earlier fixes with it false — so the resulting
+// projection is a function of the constraint set alone, independent of
+// learned clauses, activity scores, saved phases, chunking, or which
+// portfolio member raced ahead. The solver must be in a Sat state; it
+// is left in a Sat state whose model realises the canonical relation,
+// which takes one closing solve under all the fixes when the last probe
+// was Unsat. It returns the probe count, how many probes were Unsat,
+// and the solver calls made in total (probes plus that closing solve).
+func (e *encoding) canonicalize() (probes, unsat, solves int) {
 	e.solver.MaxConflicts = 0
 	fixed := append([]sat.Lit(nil), e.assumptions()...)
+	witness := e.transitionValues(nil)
+	lastUnsat := false
+	i := 0
 	for s := 0; s < e.n; s++ {
 		for p := 0; p < e.numSyms; p++ {
 			for s2 := 0; s2 < e.n; s2++ {
 				v := e.tVars[s][p][s2]
-				if !e.solver.Value(v) {
-					// The current model already satisfies every fixed
-					// literal, so v can stay false: no solve needed.
+				w := witness[i]
+				i++
+				if !w {
 					fixed = append(fixed, sat.Neg(v))
 					continue
 				}
-				if e.solver.SolveAssuming(append(fixed, sat.Neg(v))...) == sat.Sat {
-					fixed = append(fixed, sat.Neg(v))
+				probes++
+				lastUnsat = e.solver.SolveAssuming(append(fixed, sat.Neg(v))...) != sat.Sat
+				if lastUnsat {
+					unsat++
+					fixed = append(fixed, sat.Pos(v))
 					continue
 				}
-				fixed = append(fixed, sat.Pos(v))
-				// Restore a model consistent with the fixes (the
-				// pre-probe model is one, so this must succeed).
-				if e.solver.SolveAssuming(fixed...) != sat.Sat {
-					panic("learn: canonicalize lost satisfiability")
-				}
+				fixed = append(fixed, sat.Neg(v))
+				witness = e.transitionValues(witness)
 			}
 		}
 	}
+	solves = probes
+	if lastUnsat {
+		// The witness satisfies every fix, so this must succeed.
+		solves++
+		if e.solver.SolveAssuming(fixed...) != sat.Sat {
+			panic("learn: canonicalize lost satisfiability")
+		}
+	}
+	return probes, unsat, solves
+}
+
+// transitionValues copies the solver's model of the transition
+// variables over the first n states, in (state, symbol, successor)
+// order, into buf (reallocated when too small).
+func (e *encoding) transitionValues(buf []bool) []bool {
+	buf = buf[:0]
+	for s := 0; s < e.n; s++ {
+		for p := 0; p < e.numSyms; p++ {
+			for s2 := 0; s2 < e.n; s2++ {
+				buf = append(buf, e.solver.Value(e.tVars[s][p][s2]))
+			}
+		}
+	}
+	return buf
 }
 
 // extract decodes the model into an NFA over the symbol names: the
 // automaton's transition relation is exactly the set of true
-// transition variables. Callers canonicalize first, so the relation —
-// and with it the extracted automaton — is the canonical one. The
-// solver must be in a Sat state.
+// transition variables. After canonicalize that relation is the
+// canonical one; on a raw round model it is whatever the solver found.
+// The solver must be in a Sat state.
 func (e *encoding) extract(symbols []string) *automaton.NFA {
 	m := automaton.MustNew(e.n, 0)
 	for s := 0; s < e.n; s++ {

@@ -152,7 +152,8 @@ func (o Options) withDefaults() Options {
 // Stats reports search effort.
 type Stats struct {
 	Segments          int // unique segments constraining the search
-	SolverCalls       int
+	SolverCalls       int // refinement-round solves
+	CanonSolves       int // canonical-extraction solves on top of SolverCalls: probes plus closing solves
 	Refinements       int // compliance violations blocked
 	AcceptRefinements int // acceptance windows added
 	FinalStates       int
@@ -246,6 +247,48 @@ func invalidSequences(m *automaton.NFA, validGrams map[string]bool, symID map[st
 		}
 	}
 	return out
+}
+
+// roundCheck is what a Sat round's model check needs: the symbol table,
+// the valid l-grams, and where canonicalisation is counted and traced.
+type roundCheck struct {
+	symbols    []string
+	validGrams map[string]bool
+	symID      map[string]int
+	l          int
+	tel        *pipeline.Telemetry
+	parent     pipeline.SpanID // parents the canonicalize spans
+	cCanon     *pipeline.Counter64
+}
+
+// model extracts a Sat round's model and its invalid l-grams,
+// canonicalising only a compliant candidate. A raw model that realises
+// invalid grams is returned as is, for its grams to be blocked: every
+// compliant relation satisfies the blocking clauses, so the lex-least
+// compliant model does not depend on which invalid grams were blocked on
+// the way (DESIGN note 11). A compliant raw model is canonicalised and
+// the canonical model checked again, so a model returned with no
+// invalid grams is always the canonical one.
+func (rc *roundCheck) model(enc *encoding, st *Stats) (*automaton.NFA, [][]int) {
+	m := enc.extract(rc.symbols)
+	if invalid := invalidSequences(m, rc.validGrams, rc.symID, rc.l); len(invalid) > 0 {
+		return m, invalid
+	}
+	tr := rc.tel.Trace()
+	var span pipeline.SpanID
+	if tr.Enabled() {
+		span = tr.Start(rc.parent, "canonicalize", pipeline.Int("n", int64(enc.n)))
+	}
+	t0 := time.Now()
+	probes, unsat, solves := enc.canonicalize()
+	rc.tel.Prof().Observe("canonicalize", time.Since(t0))
+	st.CanonSolves += solves
+	rc.cCanon.Add(int64(solves))
+	if tr.Enabled() {
+		tr.End(span, pipeline.Int("probes", int64(probes)), pipeline.Int("unsat", int64(unsat)))
+	}
+	m = enc.extract(rc.symbols)
+	return m, invalidSequences(m, rc.validGrams, rc.symID, rc.l)
 }
 
 // intsKey encodes a symbol-id word as the little-endian concatenation

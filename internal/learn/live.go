@@ -16,9 +16,11 @@
 // as the grams blocked along the way are still invalid — which is
 // exactly what the staleness check guarantees. When extension then
 // finds a compliant, accepting model at n, n is still the minimal N,
-// and canonical extraction yields the same lex-least model a fresh
-// search would. The three ways that argument can break each force a
-// re-minimization instead:
+// and canonical extraction yields the same lex-least compliant model a
+// fresh search would: the retained blocked grams differ from a fresh
+// search's, but all of them are invalid, and no compliant model
+// realises an invalid gram. The three ways that argument can break
+// each force a re-minimization instead:
 //
 //   - a retained blocked gram became a valid gram of the grown
 //     sequence (the UNSAT proofs below n may no longer hold, and the
@@ -34,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/automaton"
+	"repro/internal/pipeline"
 	"repro/internal/sat"
 )
 
@@ -355,6 +358,7 @@ func (l *Live) reminimize() error {
 // their latest values.
 func (l *Live) accumulate(st Stats) {
 	l.stats.SolverCalls += st.SolverCalls
+	l.stats.CanonSolves += st.CanonSolves
 	l.stats.Refinements += st.Refinements
 	l.stats.AcceptRefinements += st.AcceptRefinements
 	l.stats.SATConflicts += st.SATConflicts
@@ -370,9 +374,15 @@ func (l *Live) accumulate(st Stats) {
 // extend continues the retained search at level n with the pending
 // base segments, re-running the compliance and acceptance refinement
 // loop of GenerateModelSeqs against the grown sequence. It returns
-// errNeedGrow on UNSAT (caller re-minimizes).
+// errNeedGrow on UNSAT (caller re-minimizes). Its wall and CPU time
+// count towards Stats on every return, errors included.
 func (l *Live) extend() error {
 	start := time.Now()
+	cpuStart := pipeline.CPUTime()
+	defer func() {
+		l.stats.Duration += time.Since(start)
+		l.stats.CPU += pipeline.CPUTime() - cpuStart
+	}()
 	deadline := time.Time{}
 	if l.opts.Timeout > 0 {
 		deadline = start.Add(l.opts.Timeout)
@@ -397,6 +407,9 @@ func (l *Live) extend() error {
 
 	rs := l.rle()
 	symbols := l.seq.syms
+	check := &roundCheck{symbols: symbols, validGrams: l.validGrams, symID: l.seq.symID,
+		l: l.opts.ComplianceLen, tel: tel, parent: l.opts.TraceSpan,
+		cCanon: tel.Count("solver_canon_solves_total")}
 	refinements := 0
 	acceptRefinements := 0
 	for {
@@ -423,12 +436,8 @@ func (l *Live) extend() error {
 		if status == sat.Unsat {
 			return errNeedGrow
 		}
-		enc := l.pf.canonical()
-		enc.canonicalize()
-		m := enc.extract(symbols)
-
 		// Compliance refinement against the grown gram set.
-		invalid := invalidSequences(m, l.validGrams, l.seq.symID, l.opts.ComplianceLen)
+		m, invalid := check.model(l.pf.canonical(), &l.stats)
 		if len(invalid) > 0 {
 			refinements++
 			l.stats.Refinements++
@@ -451,7 +460,6 @@ func (l *Live) extend() error {
 			l.freshGrams = false
 			l.stats.Segments = len(l.workSegs)
 			l.stats.FinalStates = l.n
-			l.stats.Duration += time.Since(start)
 			return nil
 		}
 		acceptRefinements++

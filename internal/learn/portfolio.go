@@ -14,7 +14,11 @@
 //     Variant models are discarded, so the extracted automaton — and
 //     with it every refinement, every blocking clause, and the final
 //     Result — is identical for any worker count, including 1 (where
-//     the variants never run at all).
+//     the variants never run at all). Against the serial path, which
+//     solves unbounded where member 0 solves in conflict-budget chunks,
+//     a round past one chunk may yield a different raw model, and so
+//     block different grams; the canonical compliant models the search
+//     accepts, and so the Result, cannot differ (DESIGN note 11).
 //
 // Member 0 is interrupted only when a variant proves Unsat, which ends
 // the round with the same status member 0 would eventually have

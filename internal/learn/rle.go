@@ -406,6 +406,8 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 	cGramsBlocked := tel.Count("learn_grams_blocked_total")
 	cSegmentsAdded := tel.Count("learn_segments_added_total")
 	hSolveNS := tel.Hist("solver_call_ns", "ns")
+	check := &roundCheck{symbols: symbols, validGrams: validGrams, symID: symID, l: l,
+		tel: tel, parent: opts.TraceSpan, cCanon: tel.Count("solver_canon_solves_total")}
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -505,12 +507,9 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 				bumped = true
 				continue
 			}
-			enc := pf.canonical()
-			enc.canonicalize()
-			m := enc.extract(symbols)
-
-			// Compliance check (Algorithm 1 lines 38–45).
-			invalid := invalidSequences(m, validGrams, symID, l)
+			// Compliance check (Algorithm 1 lines 38–45), on the raw
+			// model first and on the canonical one once that complies.
+			m, invalid := check.model(pf.canonical(), &stats)
 			if len(invalid) > 0 {
 				refinements++
 				stats.Refinements++
