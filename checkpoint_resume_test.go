@@ -78,7 +78,8 @@ func saveBytes(t *testing.T, m *repro.Model) string {
 // TestResumeMatchesCleanGolden is the ISSUE's acceptance criterion:
 // for every example trace, kill the run at several observation counts,
 // resume from the surviving checkpoint, and require a model file
-// byte-identical to an uninterrupted run — at worker counts 1 and 4.
+// byte-identical to an uninterrupted run — with the deprecated, ignored
+// LearnOptions.Workers at 1 and 4.
 func TestResumeMatchesCleanGolden(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("examples", "traces", "*"))
 	if err != nil {

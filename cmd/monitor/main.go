@@ -69,7 +69,7 @@ const usage = `usage: monitor -model system.t2m -in trace.csv [-informat csv|eve
                [-probe N] [-seed N] [-q] [-metrics-addr HOST:PORT]
                [-stall-after D] [-synth-cache DIR] [-run-log DIR]
        monitor -live -in trace.csv [-informat csv|events|ftrace] [-task comm-pid]
-               [-j N] [-reminimize-every K] [-max-versions N] [-idle-exit D]
+               [-reminimize-every K] [-max-versions N] [-idle-exit D]
                [-save model.t2m] [-q] [-metrics-addr HOST:PORT] [-stall-after D]
                [-synth-cache DIR] [-run-log DIR]
 
@@ -78,7 +78,6 @@ const usage = `usage: monitor -model system.t2m -in trace.csv [-informat csv|eve
 // options carries every flag of one monitor invocation.
 type options struct {
 	modelPath, in, informat, task string
-	workers                       int
 	quiet                         bool
 	metricsAddr                   string
 	active                        bool
@@ -103,7 +102,6 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.in, "in", "", "trace file to check (required; - for stdin)")
 	fs.StringVar(&o.informat, "informat", "", "input format: csv, events, ftrace (default by extension)")
 	fs.StringVar(&o.task, "task", "", "ftrace: task to analyse (comm-pid)")
-	fs.IntVar(&o.workers, "j", 0, "solver-portfolio workers for -live relearning (0 = one per CPU, 1 = canonical solver only; results identical)")
 	fs.BoolVar(&o.quiet, "q", false, "suppress the conforming-trace message")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof/ on this address while checking")
 	fs.BoolVar(&o.active, "active", false, "probe a live simulated system instead of reading a trace file")
@@ -271,7 +269,6 @@ func writeRunRecord(o *options, tel *repro.Telemetry, verdict string, elapsed ti
 		Config: map[string]any{
 			"informat": o.informat,
 			"task":     o.task,
-			"workers":  o.workers,
 			"active":   o.active,
 			"system":   o.system,
 			"probe":    o.probe,
@@ -378,7 +375,7 @@ func runLive(o *options) (int, error) {
 	}
 	defer closer()
 
-	lopts := repro.LearnOptions{Workers: o.workers, Telemetry: tel, Context: ctx}
+	lopts := repro.LearnOptions{Telemetry: tel, Context: ctx}
 	if o.synthCacheDir != "" {
 		if lopts.SynthCache, err = repro.OpenSynthCache(o.synthCacheDir); err != nil {
 			return 2, err

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	probe -system counter|fifo|serial|usbslot [-seed N] [-truncate N]
-//	      [-probe-cap N] [-depth D] [-rounds R] [-j N] [-portfolio N]
+//	      [-probe-cap N] [-depth D] [-rounds R]
 //	      [-save model.t2m] [-bench-out FILE] [-q]
 //
 // The default -truncate is a quarter of the system's canonical
@@ -44,7 +44,7 @@ import (
 // usage is the synopsis printed by -h. TestUsageNamesEveryFlag asserts
 // it names every registered flag.
 const usage = `usage: probe -system counter|fifo|serial|usbslot [-seed N] [-truncate N]
-             [-probe-cap N] [-depth D] [-rounds R] [-j N] [-portfolio N]
+             [-probe-cap N] [-depth D] [-rounds R]
              [-synth-cache DIR] [-save model.t2m] [-bench-out FILE]
              [-run-log DIR] [-q]
 
@@ -52,18 +52,16 @@ const usage = `usage: probe -system counter|fifo|serial|usbslot [-seed N] [-trun
 
 // options carries every flag of one probe invocation.
 type options struct {
-	system    string
-	seed      int64
-	truncate  int
-	probeCap  int
-	depth     int
-	rounds    int
-	workers   int
-	portfolio int
-	save      string
-	benchOut  string
-	runLog    string
-	quiet     bool
+	system   string
+	seed     int64
+	truncate int
+	probeCap int
+	depth    int
+	rounds   int
+	save     string
+	benchOut string
+	runLog   string
+	quiet    bool
 
 	synthCacheDir string
 	scache        *repro.SynthCache
@@ -79,8 +77,6 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.probeCap, "probe-cap", 0, "probe length budget in observations (0 = the canonical trace length)")
 	fs.IntVar(&o.depth, "depth", 0, "distinguishing-word search depth between successive hypotheses (0 = default)")
 	fs.IntVar(&o.rounds, "rounds", 0, "probe round budget (0 = default)")
-	fs.IntVar(&o.workers, "j", 0, "solver-portfolio workers: how many -portfolio members run at once (0 = one per CPU, 1 = canonical solver only; results identical)")
-	fs.IntVar(&o.portfolio, "portfolio", 0, "race this many SAT solver configurations per solve (0/1 = serial; results identical)")
 	fs.StringVar(&o.save, "save", "", "save the stabilized model to this file (t2m format)")
 	fs.StringVar(&o.benchOut, "bench-out", "", "write the run as a BENCH_active.json document to this file")
 	fs.StringVar(&o.runLog, "run-log", "", "append this run's record to the run archive at this directory (see cmd/runstats)")
@@ -209,8 +205,6 @@ func writeRunRecord(o *options, tel *pipeline.Telemetry, seedObs int, res *activ
 			"probe_cap": o.probeCap,
 			"depth":     o.depth,
 			"rounds":    o.rounds,
-			"workers":   o.workers,
-			"portfolio": o.portfolio,
 		},
 		WallMS:  float64(elapsed.Microseconds()) / 1e3,
 		Verdict: verdict,
@@ -248,12 +242,12 @@ func printRounds(rounds []active.Round) {
 }
 
 // coreOptions is the pipeline configuration of every learn a probe run
-// makes: the paper's segmented model search under the portfolio flags,
-// sharing the synthesis cache.
+// makes: the paper's segmented model search, sharing the synthesis
+// cache.
 func coreOptions(o *options) core.Options {
 	return core.Options{
 		Predicate: predicate.Options{Cache: o.scache},
-		Learn:     learn.Options{Segmented: true, Portfolio: o.portfolio, Workers: o.workers},
+		Learn:     learn.Options{Segmented: true},
 	}
 }
 

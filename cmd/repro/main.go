@@ -45,15 +45,11 @@ func main() {
 		fullTimeout  = flag.Duration("full-timeout", 60*time.Second, "timeout for non-segmented runs (Table I, Fig 7)")
 		mergeTimeout = flag.Duration("merge-timeout", 60*time.Second, "timeout for state-merge runs (Table II)")
 		maxExp       = flag.Int("max-exp", 15, "largest 2^k trace length for Fig 7")
-		workers      = flag.Int("j", 0, "solver-portfolio workers: how many -portfolio members run at once (0 = one per CPU, 1 = canonical solver only; results identical)")
-		portfolio    = flag.Int("portfolio", 0, "race this many SAT solver configurations per solve (0/1 = serial; results identical)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof/ on this address; counters accumulate across experiment runs")
 		synthCache   = flag.String("synth-cache", "", "share synthesized window predicates across experiment runs via this cache directory (identical results, warm runs faster)")
 		runLog       = flag.String("run-log", "", "append this evaluation's record to the run archive at this directory (see cmd/runstats)")
 	)
 	flag.Parse()
-	experiments.Workers = *workers
-	experiments.Portfolio = *portfolio
 	if *synthCache != "" {
 		scache, err := repro.OpenSynthCache(*synthCache)
 		if err != nil {
@@ -91,7 +87,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *runLog != "" {
-		if err := writeRunRecord(*runLog, *exp, *workers, *portfolio, time.Since(start)); err != nil {
+		if err := writeRunRecord(*runLog, *exp, time.Since(start)); err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
 			os.Exit(1)
 		}
@@ -99,9 +95,9 @@ func main() {
 }
 
 // writeRunRecord archives one evaluation invocation: which experiment
-// ran, with what parallelism, how long it took, and the telemetry
-// counters accumulated across its runs.
-func writeRunRecord(dir, exp string, workers, portfolio int, elapsed time.Duration) error {
+// ran, how long it took, and the telemetry counters accumulated across
+// its runs.
+func writeRunRecord(dir, exp string, elapsed time.Duration) error {
 	store, err := runlog.Open(dir)
 	if err != nil {
 		return err
@@ -110,13 +106,9 @@ func writeRunRecord(dir, exp string, workers, portfolio int, elapsed time.Durati
 		Version:   runlog.RecordVersion,
 		Tool:      "repro",
 		CreatedAt: time.Now().UTC().Format(time.RFC3339Nano),
-		Config: map[string]any{
-			"exp":       exp,
-			"workers":   workers,
-			"portfolio": portfolio,
-		},
-		WallMS:  float64(elapsed.Microseconds()) / 1e3,
-		Verdict: runlog.VerdictOK,
+		Config:    map[string]any{"exp": exp},
+		WallMS:    float64(elapsed.Microseconds()) / 1e3,
+		Verdict:   runlog.VerdictOK,
 	}
 	if tel := experiments.Telemetry; tel != nil && tel.Registry != nil {
 		rec.Counters = tel.Registry.CounterValues()
@@ -467,12 +459,12 @@ func runMemo(memoOut string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-16s %2s %7s %10s %10s %10s %7s %6s %8s %10s\n",
-		"example", "j", "states", "disabled", "cold", "warm", "stores", "hits", "corrupt", "identical")
+	fmt.Printf("%-16s %7s %10s %10s %10s %7s %6s %8s %10s\n",
+		"example", "states", "disabled", "cold", "warm", "stores", "hits", "corrupt", "identical")
 	for _, r := range rows {
 		identical := r.ColdIdentical && r.WarmIdentical && r.SharedIdentical && r.CorruptIdentical
-		fmt.Printf("%-16s %2d %7d %8.0fms %8.0fms %8.0fms %7d %6d %8d %10t\n",
-			r.Name, r.Workers, r.States, r.DisabledMS, r.ColdMS, r.WarmMS,
+		fmt.Printf("%-16s %7d %8.0fms %8.0fms %8.0fms %7d %6d %8d %10t\n",
+			r.Name, r.States, r.DisabledMS, r.ColdMS, r.WarmMS,
 			r.ColdStores, r.WarmHits, r.CorruptDetected, identical)
 	}
 	if memoOut != "" {

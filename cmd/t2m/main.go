@@ -48,7 +48,6 @@ type config struct {
 	dotOut, saveOut             string
 	predW, segW, compliL        int
 	maxStates                   int
-	workers, portfolio          int
 	noSeg, quiet                bool
 	timeout                     time.Duration
 
@@ -84,8 +83,6 @@ func main() {
 	flag.IntVar(&cfg.maxStates, "max-states", 0, "state-count cap (0 = 64)")
 	flag.BoolVar(&cfg.noSeg, "no-segmentation", false, "disable segmentation (full-trace mode)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "search timeout (0 = none)")
-	flag.IntVar(&cfg.workers, "j", 0, "solver-portfolio workers: how many -portfolio members run at once (0 = one per CPU, 1 = canonical solver only; results identical)")
-	flag.IntVar(&cfg.portfolio, "portfolio", 0, "race this many SAT solver configurations per solve (0/1 = serial; results identical)")
 	flag.StringVar(&cfg.checkpointDir, "checkpoint", "", "periodically checkpoint the run into this directory")
 	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 0, "ingest checkpoint interval in observations (0 = 100000)")
 	flag.BoolVar(&cfg.resume, "resume", false, "resume from the newest valid checkpoint in -checkpoint instead of starting fresh")
@@ -224,8 +221,6 @@ func run(cfg config) (err error) {
 		MaxStates:       cfg.maxStates,
 		NonSegmented:    cfg.noSeg,
 		Timeout:         cfg.timeout,
-		Portfolio:       cfg.portfolio,
-		Workers:         cfg.workers,
 		Telemetry:       tel,
 		Context:         ctx,
 		CheckpointDir:   cfg.checkpointDir,
@@ -362,8 +357,6 @@ func configMap(cfg config) map[string]any {
 		"l":               cfg.compliL,
 		"max_states":      cfg.maxStates,
 		"no_segmentation": cfg.noSeg,
-		"workers":         cfg.workers,
-		"portfolio":       cfg.portfolio,
 		"timeout":         cfg.timeout.String(),
 		"synth_cache":     cfg.synthCacheDir,
 	}

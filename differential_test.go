@@ -59,9 +59,10 @@ func diffInputs(t *testing.T) []diffInput {
 }
 
 // TestDifferentialModes is the cross-mode differential harness: every
-// input goes through the batch path, the streaming path at worker
-// counts 1 and 4, the portfolio solver, and a crash + checkpoint-resume
-// run — and all five must produce byte-identical automata. Any mode
+// input goes through the batch path, the streaming path with the
+// deprecated, ignored LearnOptions.Workers at 1 and 4, and a crash +
+// checkpoint-resume run — and all of them must produce byte-identical
+// automata. Any mode
 // that drifts from the batch reference is reported by name.
 func TestDifferentialModes(t *testing.T) {
 	for _, in := range diffInputs(t) {
@@ -79,7 +80,6 @@ func TestDifferentialModes(t *testing.T) {
 			}{
 				{"stream-w1", repro.LearnOptions{Workers: 1}},
 				{"stream-w4", repro.LearnOptions{Workers: 4}},
-				{"portfolio-w4", repro.LearnOptions{Workers: 4, Portfolio: 2}},
 			}
 			for _, mode := range modes {
 				m, err := repro.LearnSource(repro.NewTraceSource(in.tr), mode.opts)

@@ -63,9 +63,9 @@ func readExampleTrace(t *testing.T, path string) *trace.Trace {
 //	go test -run TestGoldenExamples -update .
 //
 // It also pins the ISSUE's mode-equivalence criterion on exactly these
-// example traces: the incremental path (live solver extension), the
-// scratch-rebuild path and the portfolio path must all produce the
-// identical automaton — same states, transitions, and start state.
+// example traces: the incremental path (live solver extension) and the
+// scratch-rebuild path must produce the identical automaton — same
+// states, transitions, and start state.
 func TestGoldenExamples(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("examples", "traces", "*"))
 	if err != nil {
@@ -105,7 +105,6 @@ func TestGoldenExamples(t *testing.T) {
 			}{
 				{"incremental", learn.Options{Segmented: true}},
 				{"scratch", learn.Options{Segmented: true, ScratchRefinement: true}},
-				{"portfolio", learn.Options{Segmented: true, Portfolio: 4, Workers: 4}},
 			}
 			P, err := model.Abstract(tr)
 			if err != nil {

@@ -59,7 +59,7 @@ var activeTruncations = map[string]int{
 // segmented model search that repro.Learn runs by default.
 func activeCoreOptions() core.Options {
 	return core.Options{
-		Learn:     learn.Options{Segmented: true, Portfolio: Portfolio, Workers: Workers},
+		Learn:     learn.Options{Segmented: true},
 		Telemetry: Telemetry,
 		Context:   Context,
 	}

@@ -61,22 +61,9 @@ func Cases() []Case {
 	}
 }
 
-// Workers is the solver-portfolio worker count applied to every
-// experiment run (cmd/repro's -j flag). Zero means one worker per
-// available CPU; 1 runs the canonical solver only. Results are
-// identical either way — only wall-clock time changes.
-var Workers int
-
-// Portfolio is the SAT solver portfolio size applied to every
-// experiment run (cmd/repro's -portfolio flag). Zero or one runs the
-// serial solver. The learned models are identical either way; see
-// internal/learn's determinism rule.
-var Portfolio int
-
 // Telemetry, when non-nil, is attached to every experiment run
 // (cmd/repro's -metrics-addr flag): counters and latency histograms
-// accumulate across runs into its registry. Like Workers and
-// Portfolio it never changes results.
+// accumulate across runs into its registry. It never changes results.
 var Telemetry *repro.Telemetry
 
 // Context, when non-nil, cancels every experiment run at the next
@@ -85,17 +72,14 @@ var Telemetry *repro.Telemetry
 var Context context.Context
 
 // SynthCache, when non-nil, shares synthesized window predicates
-// across every experiment run (cmd/repro's -synth-cache flag). Like
-// Workers and Portfolio it never changes results: models are
-// byte-identical with the cache cold, warm, shared or disabled.
+// across every experiment run (cmd/repro's -synth-cache flag). It
+// never changes results: models are byte-identical with the cache
+// cold, warm, shared or disabled.
 var SynthCache *repro.SynthCache
 
-// withWorkers applies the package-level worker count, portfolio size,
-// telemetry, synthesis cache and cancellation context to a run's
-// options.
-func withWorkers(opts repro.LearnOptions) repro.LearnOptions {
-	opts.Workers = Workers
-	opts.Portfolio = Portfolio
+// withRunOptions applies the package-level telemetry, synthesis cache and
+// cancellation context to a run's options.
+func withRunOptions(opts repro.LearnOptions) repro.LearnOptions {
 	opts.Telemetry = Telemetry
 	opts.Context = Context
 	opts.SynthCache = SynthCache
@@ -118,7 +102,7 @@ func LearnCase(c Case, timeout time.Duration) (*repro.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := withWorkers(c.Options)
+	opts := withRunOptions(c.Options)
 	opts.Timeout = timeout
 	return repro.Learn(tr, opts)
 }
@@ -146,7 +130,7 @@ func Table1(cases []Case, fullTimeout time.Duration) ([]Table1Row, error) {
 			return nil, fmt.Errorf("%s: %w", c.Name, err)
 		}
 		// Discover N with a plain segmented run.
-		opts := withWorkers(c.Options)
+		opts := withRunOptions(c.Options)
 		probe, err := repro.Learn(tr, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s: probe: %w", c.Name, err)
@@ -228,7 +212,7 @@ func Table2(cases []Case, mergeTimeout time.Duration) ([]Table2Row, error) {
 		}
 
 		learnStart := time.Now()
-		model, err := repro.Learn(tr, withWorkers(c.Options))
+		model, err := repro.Learn(tr, withRunOptions(c.Options))
 		if err != nil {
 			return nil, fmt.Errorf("%s: learn: %w", c.Name, err)
 		}
@@ -268,13 +252,13 @@ func Fig7(lengths []int, fullTimeout time.Duration) ([]Fig7Point, error) {
 			return nil, err
 		}
 		segStart := time.Now()
-		if _, err := repro.Learn(tr, withWorkers(repro.LearnOptions{})); err != nil {
+		if _, err := repro.Learn(tr, withRunOptions(repro.LearnOptions{})); err != nil {
 			return nil, fmt.Errorf("fig7 len %d segmented: %w", n, err)
 		}
 		segTime := time.Since(segStart)
 
 		fullStart := time.Now()
-		_, err = repro.Learn(tr, withWorkers(repro.LearnOptions{NonSegmented: true, Timeout: fullTimeout}))
+		_, err = repro.Learn(tr, withRunOptions(repro.LearnOptions{NonSegmented: true, Timeout: fullTimeout}))
 		fullTime := time.Since(fullStart)
 		timedOut := false
 		if err != nil {

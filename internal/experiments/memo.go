@@ -23,13 +23,11 @@ import (
 	"repro"
 )
 
-// MemoRow is one benchmark × worker-count measurement of the cache.
+// MemoRow is one benchmark's measurement of the cache.
 type MemoRow struct {
-	// Name is the benchmark's table name; TraceLen its trace length;
-	// Workers the solver-portfolio worker count of every leg.
+	// Name is the benchmark's table name; TraceLen its trace length.
 	Name     string `json:"name"`
 	TraceLen int    `json:"trace_len"`
-	Workers  int    `json:"workers"`
 	// States is the learned state count (identical in every leg).
 	States int `json:"states"`
 	// DisabledMS is the uncached baseline; ColdMS a first run filling
@@ -54,11 +52,6 @@ type MemoRow struct {
 	CorruptIdentical bool `json:"corrupt_identical"`
 }
 
-// memoWorkerCounts: byte-identity is pinned at one solver-portfolio
-// worker and at a representative parallel count (which only differs
-// when -portfolio races solver variants).
-var memoWorkerCounts = []int{1, 4}
-
 // memoSharedRuns is how many concurrent learners race one cache
 // directory in the shared leg.
 const memoSharedRuns = 3
@@ -73,24 +66,22 @@ func RunMemo() ([]MemoRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.Name, err)
 		}
-		for _, workers := range memoWorkerCounts {
-			row, err := memoCase(c, tr, workers)
-			if err != nil {
-				return nil, fmt.Errorf("%s (j=%d): %w", c.Name, workers, err)
-			}
-			rows = append(rows, row)
+		row, err := memoCase(c, tr)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.Name, err)
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// memoCase runs all five legs of one benchmark at one worker count.
-func memoCase(c Case, tr *repro.Trace, workers int) (MemoRow, error) {
-	row := MemoRow{Name: c.Name, TraceLen: tr.Len(), Workers: workers}
+// memoCase runs all five legs of one benchmark.
+func memoCase(c Case, tr *repro.Trace) (MemoRow, error) {
+	row := MemoRow{Name: c.Name, TraceLen: tr.Len()}
 
 	// Baseline: cache disabled. Every other leg must reproduce these
 	// exact model bytes.
-	base, states, baseMS, err := memoLearn(c, tr, workers, nil)
+	base, states, baseMS, err := memoLearn(c, tr, nil)
 	if err != nil {
 		return row, err
 	}
@@ -107,7 +98,7 @@ func memoCase(c Case, tr *repro.Trace, workers int) (MemoRow, error) {
 	if err != nil {
 		return row, err
 	}
-	coldBytes, _, coldMS, err := memoLearn(c, tr, workers, cold)
+	coldBytes, _, coldMS, err := memoLearn(c, tr, cold)
 	if err != nil {
 		return row, err
 	}
@@ -121,7 +112,7 @@ func memoCase(c Case, tr *repro.Trace, workers int) (MemoRow, error) {
 	if err != nil {
 		return row, err
 	}
-	warmBytes, _, warmMS, err := memoLearn(c, tr, workers, warm)
+	warmBytes, _, warmMS, err := memoLearn(c, tr, warm)
 	if err != nil {
 		return row, err
 	}
@@ -133,7 +124,7 @@ func memoCase(c Case, tr *repro.Trace, workers int) (MemoRow, error) {
 	// Shared: concurrent learners racing one directory, each with its
 	// own handle, the way independent processes share it. Each
 	// regenerates its own trace so nothing is shared but the files.
-	shared, err := memoShared(c, workers, base)
+	shared, err := memoShared(c, base)
 	if err != nil {
 		return row, err
 	}
@@ -148,7 +139,7 @@ func memoCase(c Case, tr *repro.Trace, workers int) (MemoRow, error) {
 	if err != nil {
 		return row, err
 	}
-	hurtBytes, _, _, err := memoLearn(c, tr, workers, hurt)
+	hurtBytes, _, _, err := memoLearn(c, tr, hurt)
 	if err != nil {
 		return row, err
 	}
@@ -159,10 +150,8 @@ func memoCase(c Case, tr *repro.Trace, workers int) (MemoRow, error) {
 
 // memoLearn runs one learning leg and returns the persisted model
 // bytes, the state count and the wall-clock milliseconds.
-func memoLearn(c Case, tr *repro.Trace, workers int, cache *repro.SynthCache) ([]byte, int, float64, error) {
+func memoLearn(c Case, tr *repro.Trace, cache *repro.SynthCache) ([]byte, int, float64, error) {
 	opts := c.Options
-	opts.Workers = workers
-	opts.Portfolio = Portfolio
 	opts.Context = Context
 	opts.SynthCache = cache
 	t0 := time.Now()
@@ -181,7 +170,7 @@ func memoLearn(c Case, tr *repro.Trace, workers int, cache *repro.SynthCache) ([
 // memoShared races memoSharedRuns learners on one fresh cache
 // directory and reports whether every one reproduced the baseline
 // bytes.
-func memoShared(c Case, workers int, base []byte) (bool, error) {
+func memoShared(c Case, base []byte) (bool, error) {
 	dir, err := os.MkdirTemp("", "t2m-memo-shared-*")
 	if err != nil {
 		return false, err
@@ -204,7 +193,7 @@ func memoShared(c Case, workers int, base []byte) (bool, error) {
 				errs[i] = err
 				return
 			}
-			outs[i], _, _, errs[i] = memoLearn(c, tr, workers, sc)
+			outs[i], _, _, errs[i] = memoLearn(c, tr, sc)
 		}(i)
 	}
 	wg.Wait()

@@ -39,7 +39,6 @@ func randomEncoding(seed int64) *encoding {
 	shapes := [][2]int{{2, 2}, {2, 3}, {3, 2}} // (states, symbols)
 	shape := shapes[rng.Intn(len(shapes))]
 	n, numSyms := shape[0], shape[1]
-	capacity := n + rng.Intn(2) // n+1 exercises the capacity assumption
 	var segments [][]int
 	var anchored []bool
 	for i := 1 + rng.Intn(3); i > 0; i-- {
@@ -50,7 +49,7 @@ func randomEncoding(seed int64) *encoding {
 		segments = append(segments, seg)
 		anchored = append(anchored, len(anchored) == 0)
 	}
-	e := newEncoding(n, capacity, numSyms, segments, anchored, true)
+	e := newEncoding(n, numSyms, segments, anchored, true)
 	for i := rng.Intn(3); i > 0; i-- {
 		e.blockGram([]int{rng.Intn(numSyms), rng.Intn(numSyms)})
 	}
@@ -71,7 +70,7 @@ func TestCanonicalizeLexLeast(t *testing.T) {
 		enum := randomEncoding(seed)
 		var least []bool
 		models := 0
-		for models <= maxRelations && enum.solver.SolveAssuming(enum.assumptions()...) == sat.Sat {
+		for models <= maxRelations && enum.solver.Solve() == sat.Sat {
 			vals := enum.transitionValues(nil)
 			if least == nil || lexLess(vals, least) {
 				least = vals
@@ -98,7 +97,7 @@ func TestCanonicalizeLexLeast(t *testing.T) {
 			continue
 		}
 		e := randomEncoding(seed)
-		if st := e.solve(time.Time{}, nil); (st == sat.Sat) != (least != nil) {
+		if st := e.solve(time.Time{}); (st == sat.Sat) != (least != nil) {
 			t.Fatalf("seed %d: solve says %v, enumeration found %d relations", seed, st, models)
 		}
 		if least == nil {
@@ -158,11 +157,11 @@ func refLearn(t *testing.T, P []string, w, l int) *automaton.NFA {
 	var blocked [][]int
 	acceptWindow := 2 * w
 	for n := 2; n <= 64; n++ {
-		e := newEncoding(n, n, len(seq.syms), segments, anchored, true)
+		e := newEncoding(n, len(seq.syms), segments, anchored, true)
 		for _, g := range blocked {
 			e.blockGram(g)
 		}
-		for e.solve(time.Time{}, nil) == sat.Sat {
+		for e.solve(time.Time{}) == sat.Sat {
 			e.canonicalize()
 			m := e.extract(seq.syms)
 			if invalid := invalidSequences(m, validGrams, seq.symID, l); len(invalid) > 0 {
@@ -256,7 +255,7 @@ func TestCompliantOnlyMatchesEveryRoundReference(t *testing.T) {
 	for i, P := range propertySequences() {
 		words[fmt.Sprintf("property%d", i)] = P
 	}
-	opts := Options{Segmented: true, Workers: 1}
+	opts := Options{Segmented: true}
 	for name, P := range words {
 		ref := refLearn(t, P, 3, 2).String()
 		res, err := GenerateModelSeqs([]*Seq{seqOf(P)}, opts)
@@ -317,7 +316,7 @@ func TestCanonSolvesCounted(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	tel := &pipeline.Telemetry{Tracer: pipeline.NewTracer(&buf), Registry: pipeline.NewRegistry()}
-	opts := Options{Segmented: true, Workers: 1, Telemetry: tel}
+	opts := Options{Segmented: true, Telemetry: tel}
 	res, err := GenerateModelSeqs([]*Seq{seqOf(word)}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +381,7 @@ func TestCanonSolvesCounted(t *testing.T) {
 func TestLiveExtendAccountsTime(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	lv, err := NewLive(Options{Segmented: true, Workers: 1, Context: ctx})
+	lv, err := NewLive(Options{Segmented: true, Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,21 +4,17 @@
 // plain serialisable data; internal/checkpoint embeds them in its
 // snapshot files.
 //
-// Resume determinism: a resumed search rebuilds its solver portfolio
-// from scratch at the checkpointed (N, segments, anchored, blocked)
-// with no warm start. That is byte-identical to continuing the
-// uninterrupted run because the refinement loop only ever acts on two
-// kinds of model from the canonical portfolio member: a raw model's
+// Resume determinism: a resumed search rebuilds its encoding from
+// scratch at the checkpointed (N, segments, anchored, blocked). That is
+// byte-identical to continuing the uninterrupted run because the
+// refinement loop only ever acts on two kinds of model: a raw model's
 // invalid grams, which it blocks, and the lex-least compliant model,
 // which it checks for acceptance. Blocked grams are invalid, so no
 // compliant model violates them, and the lex-least compliant model is
 // the same whichever grams were blocked on the way (DESIGN note 11);
-// incremental, scratch and portfolio paths therefore all accept the
-// same automata. UNSAT verdicts are semantic facts independent of
-// which member or warm start produced them. The only run-to-run
-// variation — whether a speculative member happens to prove N+1
-// unsatisfiable in time to skip it — never changes the final N or the
-// model extracted there.
+// incremental, scratch and resumed paths therefore all accept the same
+// automata. UNSAT verdicts are semantic facts, independent of the
+// solver's learned clauses.
 package learn
 
 import (

@@ -2,7 +2,9 @@ package learn
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestSeqStateRoundTrip(t *testing.T) {
@@ -95,6 +97,43 @@ func TestCheckpointAbortsSearch(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("search ignored the checkpoint error")
+	}
+}
+
+// TestResumeRejectsBlockedGramLength: a checkpoint's blocked grams
+// must have the compliance length. A longer one would make blockGram
+// enumerate n^(len+1) state paths, so a crafted 30-symbol gram must be
+// an error, not a hang.
+func TestResumeRejectsBlockedGramLength(t *testing.T) {
+	P := repeatPattern(6, 3)
+	var first *CheckpointState
+	if _, err := GenerateModel(P, Options{
+		Segmented: true,
+		Checkpoint: func(st *CheckpointState) error {
+			if first == nil {
+				first = st
+			}
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{30, 1} {
+		st := *first
+		st.Blocked = append(copyInts(first.Blocked), make([]int, size))
+		done := make(chan error, 1)
+		go func() {
+			_, err := GenerateModel(P, Options{Segmented: true, Resume: &st})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "length") {
+				t.Errorf("%d-symbol blocked gram: err = %v, want a length error", size, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d-symbol blocked gram: resume still running after 5s", size)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package learn
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/automaton"
@@ -42,22 +41,13 @@ import (
 // polarity so that raw models stay close to the transitions the
 // segments witness; canonicalize then pins the lex-least relation.
 //
-// The encoding is incremental in two directions. Within a state count,
-// blockGram and addSegment extend the live solver, which keeps its
-// learned clauses. Across state counts, an encoding may be built with
-// capacity > n: the CNF then allocates capacity states, and the search
-// for an n-state automaton runs under the single assumption that the
-// symmetry chain's last link is false — no slot holds a state ≥ n —
-// which restricts every slot to the first n states and makes the
-// restricted formula equisatisfiable with the plain n-state encoding.
-// When the n-state search turns out unsatisfiable, promote drops the
-// assumption and the same solver, learned clauses and all, continues
-// at n+1 states.
+// The encoding is incremental: blockGram and addSegment extend the
+// live solver, which keeps its learned clauses across refinement
+// rounds at a fixed state count.
 type encoding struct {
-	n        int // states the current search targets
-	capacity int // states the CNF allocates (n, or more for speculation)
-	numSyms  int
-	solver   *sat.Solver
+	n       int // state count
+	numSyms int
+	solver  *sat.Solver
 
 	segments [][]int
 	anchored []bool
@@ -70,51 +60,25 @@ type encoding struct {
 	// the first slot when ordering is enabled, always nil otherwise.
 	chainTail []int
 
-	// simplifyAt is the clause count at which the next inprocessing
-	// pass fires; zero until the first maybeSimplify arms it.
-	simplifyAt int
+	// prev is the solver work already folded into Stats (see addStats).
+	prev sat.Stats
 }
 
-// maybeSimplify runs the solver's deterministic level-0 inprocessing
-// (satisfied-clause elimination, subsumption) once the clause database
-// has grown past the armed threshold. A fresh encoding only arms the
-// threshold: there are no level-0 facts to exploit before the first
-// solve. Simplification preserves logical equivalence, so statuses,
-// cores and — via canonical extraction — accepted models are
-// unchanged (raw models, and so the grams they block, may differ); a
-// top-level contradiction it uncovers surfaces as Unsat from the next
-// solve, exactly as if the solver had found it itself.
-func (e *encoding) maybeSimplify() {
-	n := e.solver.NumClauses()
-	if e.simplifyAt == 0 || n >= e.simplifyAt {
-		if e.simplifyAt != 0 {
-			e.solver.Simplify()
-			n = e.solver.NumClauses()
-		}
-		// Re-arm at ~12% growth so passes stay rare relative to
-		// solving work.
-		e.simplifyAt = n + n/8 + 256
-	}
-}
+// newEncoding builds the hypothesis for n states over the given
+// segments. Segments are added through the same addSegment used for
+// live extension, so an encoding built with k segments is
+// variable-for-variable identical to one built with fewer and extended
+// afterwards.
+func newEncoding(n, numSyms int, segments [][]int, anchored []bool, orderStates bool) *encoding {
+	e := &encoding{n: n, numSyms: numSyms, solver: sat.New()}
 
-// newEncoding builds the hypothesis for n states (allocating capacity
-// ≥ n) over the given segments. Segments are added through the same
-// addSegment used for live extension, so an encoding built with k
-// segments is variable-for-variable identical to one built with fewer
-// and extended afterwards.
-func newEncoding(n, capacity, numSyms int, segments [][]int, anchored []bool, orderStates bool) *encoding {
-	if capacity < n {
-		capacity = n
-	}
-	e := &encoding{n: n, capacity: capacity, numSyms: numSyms, solver: sat.New()}
-
-	// Transition-function variables, over the full capacity.
-	e.tVars = make([][][]int, capacity)
-	for s := 0; s < capacity; s++ {
+	// Transition-function variables.
+	e.tVars = make([][][]int, n)
+	for s := 0; s < n; s++ {
 		e.tVars[s] = make([][]int, numSyms)
 		for p := 0; p < numSyms; p++ {
-			e.tVars[s][p] = make([]int, capacity)
-			for s2 := 0; s2 < capacity; s2++ {
+			e.tVars[s][p] = make([]int, n)
+			for s2 := 0; s2 < n; s2++ {
 				v := e.solver.NewVar()
 				e.solver.SetPreferredPolarity(v, false)
 				e.tVars[s][p][s2] = v
@@ -123,17 +87,17 @@ func newEncoding(n, capacity, numSyms int, segments [][]int, anchored []bool, or
 	}
 
 	// Determinism: at most one successor per (state, predicate).
-	for s := 0; s < capacity; s++ {
+	for s := 0; s < n; s++ {
 		for p := 0; p < numSyms; p++ {
-			for a := 0; a < capacity; a++ {
-				for b := a + 1; b < capacity; b++ {
+			for a := 0; a < n; a++ {
+				for b := a + 1; b < n; b++ {
 					e.solver.AddClause(sat.Neg(e.tVars[s][p][a]), sat.Neg(e.tVars[s][p][b]))
 				}
 			}
 		}
 	}
 
-	if orderStates && capacity > 1 {
+	if orderStates && n > 1 {
 		e.chainTail = []int{} // non-nil: ordering enabled, no slot yet
 	}
 
@@ -154,20 +118,20 @@ func (e *encoding) addSegment(seg []int, anchor bool) {
 
 	slots := make([][]int, len(seg)+1)
 	for j := range slots {
-		states := make([]int, e.capacity)
-		for s := 0; s < e.capacity; s++ {
+		states := make([]int, e.n)
+		for s := 0; s < e.n; s++ {
 			states[s] = e.solver.NewVar()
 		}
 		slots[j] = states
 		// At least one state.
-		lits := make([]sat.Lit, e.capacity)
-		for s := 0; s < e.capacity; s++ {
+		lits := make([]sat.Lit, e.n)
+		for s := 0; s < e.n; s++ {
 			lits[s] = sat.Pos(states[s])
 		}
 		e.solver.AddClause(lits...)
 		// At most one state.
-		for a := 0; a < e.capacity; a++ {
-			for b := a + 1; b < e.capacity; b++ {
+		for a := 0; a < e.n; a++ {
+			for b := a + 1; b < e.n; b++ {
 				e.solver.AddClause(sat.Neg(states[a]), sat.Neg(states[b]))
 			}
 		}
@@ -185,8 +149,8 @@ func (e *encoding) addSegment(seg []int, anchor bool) {
 	for j, p := range seg {
 		from := slots[j]
 		to := slots[j+1]
-		for s := 0; s < e.capacity; s++ {
-			for s2 := 0; s2 < e.capacity; s2++ {
+		for s := 0; s < e.n; s++ {
+			for s2 := 0; s2 < e.n; s2++ {
 				e.solver.AddClause(
 					sat.Neg(from[s]), sat.Neg(to[s2]), sat.Pos(e.tVars[s][p][s2]))
 			}
@@ -199,20 +163,19 @@ func (e *encoding) addSegment(seg []int, anchor bool) {
 	// automaton has exactly one such labelling, so this prunes the
 	// (N−1)! relabellings that otherwise bloat the UNSAT escalation
 	// proofs. maxGE[j][s] means "some slot ≤ j holds a state ≥ s"; the
-	// chain threads across addSegment calls through chainTail, and its
-	// final link doubles as the capacity restriction (see assumptions).
+	// chain threads across addSegment calls through chainTail.
 	if e.chainTail != nil {
 		prev := e.chainTail
 		first := len(prev) == 0
 		for j := range slots {
 			states := slots[j]
-			cur := make([]int, e.capacity-1)
-			for s := 1; s < e.capacity; s++ {
+			cur := make([]int, e.n-1)
+			for s := 1; s < e.n; s++ {
 				v := e.solver.NewVar()
 				e.solver.SetPreferredPolarity(v, false)
 				cur[s-1] = v
 				// y[j][t] → maxGE[j][s] for t ≥ s.
-				for t := s; t < e.capacity; t++ {
+				for t := s; t < e.n; t++ {
 					e.solver.AddClause(sat.Neg(states[t]), sat.Pos(v))
 				}
 				if !first {
@@ -222,7 +185,7 @@ func (e *encoding) addSegment(seg []int, anchor bool) {
 			}
 			// y[j][t] allowed only if maxGE[j-1][t-1] (t ≥ 1); the
 			// very first slot may only hold state 0.
-			for t := 1; t < e.capacity; t++ {
+			for t := 1; t < e.n; t++ {
 				if first {
 					e.solver.AddClause(sat.Neg(states[t]))
 				} else {
@@ -246,28 +209,9 @@ func (e *encoding) anchorSegment(i int) {
 	e.solver.AddClause(sat.Pos(e.slotVars[i][0][0]))
 }
 
-// assumptions returns the capacity restriction for the current n: the
-// symmetry chain's last link at index n must be false, which forbids
-// every slot from holding a state ≥ n. Empty when the encoding is at
-// full capacity (or holds no slots yet, in which case there is nothing
-// to restrict).
-func (e *encoding) assumptions() []sat.Lit {
-	if e.n < e.capacity && len(e.chainTail) > 0 {
-		return []sat.Lit{sat.Neg(e.chainTail[e.n-1])}
-	}
-	return nil
-}
-
-// promote raises the search target to the full capacity, dropping the
-// restriction assumption. The solver keeps every clause learned while
-// the restriction was in force: learned clauses derive from the
-// problem clauses alone, never from assumptions, so they remain valid.
-func (e *encoding) promote() { e.n = e.capacity }
-
 // blockGram forbids every state path realising the symbol-id word g:
 // for all state paths s0..sl, at least one of the involved transitions
-// must be absent. Paths range over the full capacity so that blocking
-// clauses stay sufficient after promote.
+// must be absent.
 func (e *encoding) blockGram(g []int) {
 	l := len(g)
 	path := make([]int, l+1)
@@ -281,7 +225,7 @@ func (e *encoding) blockGram(g []int) {
 			e.solver.AddClause(lits...)
 			return
 		}
-		for s := 0; s < e.capacity; s++ {
+		for s := 0; s < e.n; s++ {
 			path[depth] = s
 			rec(depth + 1)
 		}
@@ -290,48 +234,39 @@ func (e *encoding) blockGram(g []int) {
 }
 
 // solveChunkConflicts is the conflict budget per solver call when a
-// deadline or stop flag is in force; a variable so tests can shrink it
-// to pin mid-solve behaviour deterministically.
+// deadline is in force; a variable so tests can shrink it to pin
+// mid-solve behaviour deterministically.
 var solveChunkConflicts int64 = 20000
 
-// solve runs the SAT solver under the capacity-restriction
-// assumptions. With neither deadline nor stop flag the solver runs
-// unbounded; otherwise it solves in conflict-budget chunks so that a
-// single hard instance cannot overshoot a timeout (or outlive a
-// portfolio decision) unboundedly. It returns Sat, Unsat, or Unknown
-// when interrupted mid-solve.
-func (e *encoding) solve(deadline time.Time, stop *atomic.Bool) sat.Status {
-	if deadline.IsZero() && stop == nil {
+// solve runs the SAT solver. With no deadline it runs unbounded;
+// otherwise it solves in conflict-budget chunks so that a single hard
+// instance cannot overshoot a timeout unboundedly. It returns Sat,
+// Unsat, or Unknown when the deadline expired mid-solve.
+func (e *encoding) solve(deadline time.Time) sat.Status {
+	if deadline.IsZero() {
 		e.solver.MaxConflicts = 0
-		return e.solver.SolveAssuming(e.assumptions()...)
+		return e.solver.Solve()
 	}
 	e.solver.MaxConflicts = solveChunkConflicts
 	for {
-		st := e.solver.SolveAssuming(e.assumptions()...)
-		if st != sat.Unknown {
+		st := e.solver.Solve()
+		if st != sat.Unknown || time.Now().After(deadline) {
 			return st
-		}
-		if stop != nil && stop.Load() {
-			return sat.Unknown
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return sat.Unknown
 		}
 	}
 }
 
-// preferTransitions sets the preferred polarity of every transition
-// variable — the canonical encoding biases them false so extracted
-// automata stay sparse; a portfolio variant may flip them as a
-// diversification knob.
-func (e *encoding) preferTransitions(polarity bool) {
-	for _, bySym := range e.tVars {
-		for _, row := range bySym {
-			for _, v := range row {
-				e.solver.SetPreferredPolarity(v, polarity)
-			}
-		}
-	}
+// addStats folds the solver work done since the previous call —
+// the round's solve plus any canonicalisation probes before it — into
+// st, and returns it.
+func (e *encoding) addStats(st *Stats) sat.Stats {
+	d := e.solver.Stats.Minus(e.prev)
+	e.prev = e.solver.Stats
+	st.SATConflicts += d.Conflicts
+	st.SATDecisions += d.Decisions
+	st.SATPropagations += d.Propagations
+	st.SATLearned += d.Learned
+	return d
 }
 
 // canonicalize pins the solver's model to the canonical one: the
@@ -346,15 +281,14 @@ func (e *encoding) preferTransitions(polarity bool) {
 // the greedy lex-min rule — a variable is fixed false exactly when some
 // model satisfies all earlier fixes with it false — so the resulting
 // projection is a function of the constraint set alone, independent of
-// learned clauses, activity scores, saved phases, chunking, or which
-// portfolio member raced ahead. The solver must be in a Sat state; it
+// learned clauses, activity scores, saved phases or chunking. The solver must be in a Sat state; it
 // is left in a Sat state whose model realises the canonical relation,
 // which takes one closing solve under all the fixes when the last probe
 // was Unsat. It returns the probe count, how many probes were Unsat,
 // and the solver calls made in total (probes plus that closing solve).
 func (e *encoding) canonicalize() (probes, unsat, solves int) {
 	e.solver.MaxConflicts = 0
-	fixed := append([]sat.Lit(nil), e.assumptions()...)
+	var fixed []sat.Lit
 	witness := e.transitionValues(nil)
 	lastUnsat := false
 	i := 0

@@ -63,28 +63,12 @@ type Options struct {
 	// in the encoding (for the ablation benchmarks; the UNSAT
 	// escalation proofs are substantially slower without it).
 	NoSymmetryBreaking bool
-	// Portfolio races this many solver configurations per solve
-	// (bounded by the built-in table: canonical, speculative N+1,
-	// restart and decay variants). Zero or one selects the serial
-	// path. The learned automaton is identical for every Portfolio
-	// and Workers setting; see portfolio.go for the determinism rule.
-	Portfolio int
-	// Workers bounds the portfolio's concurrency. Zero means one per
-	// CPU; one runs the canonical member only.
-	Workers int
 	// ScratchRefinement rebuilds the encoding from scratch after each
 	// compliance or acceptance refinement instead of extending the
-	// live solvers — the pre-incremental behaviour, kept for
+	// live solver — the pre-incremental behaviour, kept for
 	// equivalence testing and ablation benchmarks. Canonical model
 	// extraction makes the learned automaton identical either way.
 	ScratchRefinement bool
-	// NoInprocessing disables the growth-gated solver inprocessing
-	// (satisfied-clause elimination and subsumption between rounds;
-	// see sat.Solver.Simplify). Inprocessing preserves logical
-	// equivalence and canonical extraction pins the model, so the
-	// learned automaton is byte-identical either way — the knob exists
-	// for the equivalence tests and ablation benchmarks.
-	NoInprocessing bool
 	// Context cancels the search between solver rounds (signal
 	// handling; a round in flight finishes first). Nil means never
 	// cancelled.
@@ -111,7 +95,7 @@ type Options struct {
 	TraceSpan pipeline.SpanID
 
 	// retain, when non-nil, receives the live solver state of a
-	// successful search (portfolio, level, segment/blocked tables) so
+	// successful search (encoding, level, segment/blocked tables) so
 	// the Live engine can keep extending it incrementally instead of
 	// relearning from scratch. Unexported: only live.go sets it.
 	retain *searchRetained
@@ -121,7 +105,7 @@ type Options struct {
 // for live extension: everything needed to continue the refinement
 // loop at the found level n when the input sequence grows.
 type searchRetained struct {
-	pf           *portfolio
+	enc          *encoding
 	n            int
 	acceptWindow int
 	blocked      [][]int

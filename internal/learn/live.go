@@ -1,8 +1,8 @@
 // Live model maintenance: Live owns a growing RLE sequence and keeps a
 // learned automaton current over it without relearning from scratch on
 // every change. It continues GenerateModelSeqs' refinement loop at the
-// retained level n — new unique base segments extend the live solver
-// portfolio via addSegment, compliance violations via blockGram — and
+// retained level n — new unique base segments extend the live
+// encoding via addSegment, compliance violations via blockGram — and
 // falls back to a full re-minimization (a plain GenerateModelSeqs call
 // over the whole sequence, hence trivially byte-identical to a batch
 // relearn) whenever incremental extension could diverge from it.
@@ -24,8 +24,8 @@
 //
 //   - a retained blocked gram became a valid gram of the grown
 //     sequence (the UNSAT proofs below n may no longer hold, and the
-//     retained blocking clauses cannot be removed from the solvers),
-//   - a new symbol appeared (the retained encodings' transition
+//     retained blocking clauses cannot be removed from the solver),
+//   - a new symbol appeared (the retained encoding's transition
 //     variables are sized for the alphabet at build time),
 //   - the constraints went UNSAT at n (the model needs more states).
 package learn
@@ -114,8 +114,8 @@ type Live struct {
 	freshGrams bool // a gram became valid since the last solve fixpoint
 	keyBuf     []byte
 
-	// Retained search state (nil pf until the first learn).
-	pf           *portfolio
+	// Retained search state (nil enc until the first learn).
+	enc          *encoding
 	n            int
 	acceptWindow int
 	blocked      [][]int
@@ -124,7 +124,7 @@ type Live struct {
 	workIndex    map[string]int
 	workSegs     [][]int
 	workAnch     []bool
-	numSyms      int // alphabet size frozen into the retained encodings
+	numSyms      int // alphabet size frozen into the retained encoding
 
 	model *automaton.NFA
 	stats Stats
@@ -275,7 +275,7 @@ func (l *Live) recordWork(seg []int, anchor bool) (idx int, added, anchorUp bool
 
 // Revise brings the model up to date with the appended evidence: a
 // no-solver no-op when nothing changed, an incremental extension of
-// the retained portfolio when that is provably exact, and a full
+// the retained encoding when that is provably exact, and a full
 // re-minimization otherwise (or when forced by the caller's policy).
 // It reports whether a re-minimization ran. After a nil-error return
 // the model accepts the whole current sequence and is byte-identical
@@ -287,7 +287,7 @@ func (l *Live) Revise(forceRemin bool) (reminimized bool, err error) {
 	if l.seq.total < l.opts.Window {
 		return false, fmt.Errorf("learn: live sequence shorter than the segmentation window (%d < %d)", l.seq.total, l.opts.Window)
 	}
-	needRemin := forceRemin || l.pf == nil || l.stale ||
+	needRemin := forceRemin || l.enc == nil || l.stale ||
 		len(l.seq.syms) > l.numSyms || l.opts.ScratchRefinement
 	if !needRemin && len(l.pending) == 0 && !l.freshGrams {
 		// No new evidence of any kind: every window of the appended
@@ -315,7 +315,7 @@ func (l *Live) Revise(forceRemin bool) (reminimized bool, err error) {
 			return false, err
 		}
 		// UNSAT at the retained level: the grown sequence needs more
-		// states. Discard the portfolio and search from scratch.
+		// states. Discard the encoding and search from scratch.
 	}
 	return true, l.reminimize()
 }
@@ -332,7 +332,7 @@ func (l *Live) reminimize() error {
 	}
 	l.accumulate(res.Stats)
 	l.model = res.Automaton
-	l.pf = ret.pf
+	l.enc = ret.enc
 	l.n = ret.n
 	l.acceptWindow = ret.acceptWindow
 	l.blocked = ret.blocked
@@ -390,11 +390,11 @@ func (l *Live) extend() error {
 	for _, bi := range l.pending {
 		idx, added, anchorUp := l.recordWork(l.baseSegs[bi], l.baseAnch[bi])
 		if added {
-			l.pf.addSegment(l.workSegs[idx], l.workAnch[idx])
+			l.enc.addSegment(l.workSegs[idx], l.workAnch[idx])
 		} else if anchorUp {
 			// A base window that the retained search had already
 			// added as an unanchored acceptance window.
-			l.pf.anchorSegment(idx)
+			l.enc.anchorSegment(idx)
 		}
 	}
 	l.pending = l.pending[:0]
@@ -421,15 +421,12 @@ func (l *Live) extend() error {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return ErrTimeout
 		}
-		if !l.opts.NoInprocessing {
-			l.pf.maybeSimplify()
-		}
 		l.stats.SolverCalls++
 		cSolves.Add(1)
 		t0 := time.Now()
-		status, _ := l.pf.solve(deadline)
+		status := l.enc.solve(deadline)
 		hSolveNS.Since(t0)
-		l.pf.addStats(&l.stats)
+		l.enc.addStats(&l.stats)
 		if status == sat.Unknown {
 			return ErrBudgetExceeded
 		}
@@ -437,7 +434,7 @@ func (l *Live) extend() error {
 			return errNeedGrow
 		}
 		// Compliance refinement against the grown gram set.
-		m, invalid := check.model(l.pf.canonical(), &l.stats)
+		m, invalid := check.model(l.enc, &l.stats)
 		if len(invalid) > 0 {
 			refinements++
 			l.stats.Refinements++
@@ -448,7 +445,7 @@ func (l *Live) extend() error {
 			for _, g := range invalid {
 				l.blocked = append(l.blocked, g)
 				l.blockedSet[intsKey(g)] = true
-				l.pf.blockGram(g)
+				l.enc.blockGram(g)
 			}
 			continue
 		}
@@ -490,9 +487,9 @@ func (l *Live) extend() error {
 		}
 		if added {
 			cSegmentsAdded.Add(1)
-			l.pf.addSegment(l.workSegs[idx], l.workAnch[idx])
+			l.enc.addSegment(l.workSegs[idx], l.workAnch[idx])
 		} else {
-			l.pf.anchorSegment(idx)
+			l.enc.anchorSegment(idx)
 		}
 	}
 }
@@ -502,7 +499,7 @@ func (l *Live) extend() error {
 // (over the same sequence) reproduces the current model without any
 // refinement work. Nil before the first successful revision.
 func (l *Live) Checkpoint() *CheckpointState {
-	if l.pf == nil || l.model == nil {
+	if l.enc == nil || l.model == nil {
 		return nil
 	}
 	return &CheckpointState{

@@ -3,7 +3,6 @@ package learn
 import (
 	"errors"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,16 +51,15 @@ func checkInvariants(t *testing.T, res *Result, P []string, w int) {
 	checkSegments(t, res, P, w)
 }
 
-// TestPaperInvariantsSerialAndPortfolio runs the two invariants over
-// randomized small synthetic sequences in serial and portfolio modes.
-func TestPaperInvariantsSerialAndPortfolio(t *testing.T) {
+// TestPaperInvariants runs the two invariants over randomized small
+// synthetic sequences, with incremental and scratch refinement.
+func TestPaperInvariants(t *testing.T) {
 	modes := []struct {
 		name string
 		opts Options
 	}{
 		{"serial", Options{Segmented: true, MaxStates: 32}},
 		{"serial-scratch", Options{Segmented: true, MaxStates: 32, ScratchRefinement: true}},
-		{"portfolio", Options{Segmented: true, MaxStates: 32, Portfolio: 4, Workers: 4}},
 	}
 	for _, P := range propertySequences() {
 		for _, mode := range modes {
@@ -101,106 +99,6 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestPortfolioDeterministicAcrossWorkers: for a fixed portfolio
-// configuration the learned automaton, acceptance flag and final state
-// count are identical for every worker count — the variants only ever
-// contribute Unsat verdicts, which all members must agree on. Effort
-// statistics (conflicts, solver calls) are scheduling-dependent and
-// deliberately not compared.
-func TestPortfolioDeterministicAcrossWorkers(t *testing.T) {
-	for _, P := range propertySequences() {
-		type outcome struct {
-			auto    string
-			states  int
-			accepts bool
-		}
-		var ref *outcome
-		for _, workers := range []int{1, 2, 8} {
-			res, err := GenerateModel(P, Options{
-				Segmented: true, MaxStates: 32, Portfolio: 4, Workers: workers,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d (%v): %v", workers, P, err)
-			}
-			got := &outcome{res.Automaton.String(), res.Stats.FinalStates, res.AcceptsInput}
-			if ref == nil {
-				ref = got
-				continue
-			}
-			if *got != *ref {
-				t.Errorf("workers=%d diverged on %v:\n%s\nwant:\n%s", workers, P, got.auto, ref.auto)
-			}
-		}
-	}
-}
-
-// TestInprocessingByteIdentical: solver inprocessing between rounds
-// (the default) must learn the exact automaton the untouched solvers
-// find — Simplify preserves logical equivalence and canonical
-// extraction pins the model, so the rendered automata, state counts
-// and acceptance flags are byte-identical with the knob on or off, in
-// serial and portfolio modes alike.
-func TestInprocessingByteIdentical(t *testing.T) {
-	modes := []struct {
-		name string
-		opts Options
-	}{
-		{"serial", Options{Segmented: true, MaxStates: 32}},
-		{"portfolio", Options{Segmented: true, MaxStates: 32, Portfolio: 4, Workers: 4}},
-	}
-	for _, P := range propertySequences() {
-		for _, mode := range modes {
-			on, err := GenerateModel(P, mode.opts)
-			if err != nil {
-				t.Fatalf("%s inprocessing on (%v): %v", mode.name, P, err)
-			}
-			offOpts := mode.opts
-			offOpts.NoInprocessing = true
-			off, err := GenerateModel(P, offOpts)
-			if err != nil {
-				t.Fatalf("%s inprocessing off (%v): %v", mode.name, P, err)
-			}
-			if on.Automaton.String() != off.Automaton.String() {
-				t.Errorf("%s input %v:\ninprocessing on:\n%s\noff:\n%s",
-					mode.name, P, on.Automaton, off.Automaton)
-			}
-			if on.Stats.FinalStates != off.Stats.FinalStates || on.AcceptsInput != off.AcceptsInput {
-				t.Errorf("%s input %v: states/accepts diverged: on=(%d,%v) off=(%d,%v)",
-					mode.name, P, on.Stats.FinalStates, on.AcceptsInput,
-					off.Stats.FinalStates, off.AcceptsInput)
-			}
-		}
-	}
-}
-
-// TestPortfolioMatchesSerialSemantics: portfolio and serial modes
-// learn the identical automaton. Canonical model extraction makes this
-// exact: the lex-least transition relation is a function of the
-// constraint set, not of chunking, learned clauses, or which member
-// raced ahead.
-func TestPortfolioMatchesSerialSemantics(t *testing.T) {
-	for _, P := range propertySequences() {
-		serial, err := GenerateModel(P, Options{Segmented: true, MaxStates: 32})
-		if err != nil {
-			t.Fatalf("serial (%v): %v", P, err)
-		}
-		pf, err := GenerateModel(P, Options{Segmented: true, MaxStates: 32, Portfolio: 4, Workers: 4})
-		if err != nil {
-			t.Fatalf("portfolio (%v): %v", P, err)
-		}
-		if serial.Automaton.String() != pf.Automaton.String() {
-			t.Errorf("input %v:\nserial:\n%s\nportfolio:\n%s", P, serial.Automaton, pf.Automaton)
-		}
-		if serial.Stats.FinalStates != pf.Stats.FinalStates {
-			t.Errorf("input %v: serial %d states, portfolio %d",
-				P, serial.Stats.FinalStates, pf.Stats.FinalStates)
-		}
-		if serial.AcceptsInput != pf.AcceptsInput {
-			t.Errorf("input %v: acceptance disagrees", P)
-		}
-	}
-}
-
 // TestEncodingSolveDeadlineUnknown pins the deadline contract at the
 // encoding level: an expired deadline mid-solve must surface as
 // Unknown — never as Unsat, which would wrongly bump N.
@@ -230,19 +128,14 @@ func TestEncodingSolveDeadlineUnknown(t *testing.T) {
 		segments = append(segments, seq[i:i+3])
 		anchored = append(anchored, i == 0)
 	}
-	enc := newEncoding(3, 3, len(symID), segments, anchored, true)
+	enc := newEncoding(3, len(symID), segments, anchored, true)
 	enc.blockGram(segments[0])
 	// The conflict budget is only checked between restart segments, so
 	// shrink those too — otherwise the first segment alone (default 100
 	// conflicts) completes the ~5-conflict proof.
 	enc.solver.RestartBase = 1
-	if st := enc.solve(time.Now().Add(-time.Second), nil); st != sat.Unknown {
+	if st := enc.solve(time.Now().Add(-time.Second)); st != sat.Unknown {
 		t.Fatalf("expired deadline mid-solve returned %v, want Unknown", st)
-	}
-	var stop atomic.Bool
-	stop.Store(true)
-	if st := enc.solve(time.Time{}, &stop); st != sat.Unknown {
-		t.Fatalf("stopped solve returned %v, want Unknown", st)
 	}
 }
 
@@ -274,18 +167,5 @@ func TestBudgetExceededNearZeroDeadline(t *testing.T) {
 	}
 	if errors.Is(ErrTimeout, ErrBudgetExceeded) {
 		t.Error("ErrTimeout must not match ErrBudgetExceeded")
-	}
-}
-
-// TestPortfolioWithTimeout: the portfolio path honours deadlines too.
-func TestPortfolioWithTimeout(t *testing.T) {
-	res, err := GenerateModel(repeatPattern(10, 3), Options{
-		Segmented: true, Timeout: time.Nanosecond, Portfolio: 4, Workers: 4,
-	})
-	if err == nil || !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout-class", err)
-	}
-	if res.Automaton != nil {
-		t.Fatal("automaton returned despite timeout")
 	}
 }

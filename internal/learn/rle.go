@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/automaton"
@@ -374,6 +373,11 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 	if opts.Resume != nil {
 		st := opts.Resume
 		for i, g := range st.Blocked {
+			// blockGram enumerates n^(len+1) state paths, so a gram of
+			// any other length than l would be a crafted hang.
+			if len(g) != l {
+				return nil, fmt.Errorf("learn: resume blocked gram %d has length %d, want %d", i, len(g), l)
+			}
 			for _, id := range g {
 				if id < 0 || id >= len(symbols) {
 					return nil, fmt.Errorf("learn: resume blocked gram %d references symbol %d of %d", i, id, len(symbols))
@@ -409,29 +413,25 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 	check := &roundCheck{symbols: symbols, validGrams: validGrams, symID: symID, l: l,
 		tel: tel, parent: opts.TraceSpan, cCanon: tel.Count("solver_canon_solves_total")}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	orderStates := !opts.NoSymmetryBreaking
-	buildPortfolio := func(n int, warm *encoding) *portfolio {
-		return newPortfolio(n, opts.Portfolio, workers, len(symbols), opts.MaxStates,
-			segments, anchored, blocked, orderStates, warm)
+	buildEncoding := func(n int) *encoding {
+		enc := newEncoding(n, len(symbols), segments, anchored, orderStates)
+		for _, g := range blocked {
+			enc.blockGram(g)
+		}
+		return enc
 	}
 	finish := func() {
 		stats.Duration = time.Since(start)
 		stats.CPU = pipeline.CPUTime() - cpuStart
 	}
 
-	var warm *encoding
-	for n := startN; n <= opts.MaxStates; {
-		pf := buildPortfolio(n, warm)
-		warm = nil
+	for n := startN; n <= opts.MaxStates; n++ {
+		enc := buildEncoding(n)
 		refinements := resumeRefinements
 		resumeRefinements = 0
-		bumped := false
-		for !bumped {
-			// Round boundary: the portfolio state is a pure function of
+		for {
+			// Round boundary: the encoding is a pure function of
 			// (n, segments, anchored, blocked), so this is the moment
 			// the search can be snapshotted and later resumed
 			// byte-identically. The hook runs before the round's solver
@@ -461,9 +461,6 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 				finish()
 				return &Result{Stats: stats}, ErrTimeout
 			}
-			if !opts.NoInprocessing {
-				pf.maybeSimplify()
-			}
 			stats.SolverCalls++
 			cSolves.Add(1)
 			var solveSpan pipeline.SpanID
@@ -472,44 +469,28 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 					pipeline.Int("n", int64(n)),
 					pipeline.Int("segments", int64(len(segments))))
 			}
-			before := stats
 			t0 := time.Now()
-			status, capUnsat := pf.solve(deadline)
+			status := enc.solve(deadline)
 			hSolveNS.Since(t0)
 			tel.Prof().Observe("solve", time.Since(t0))
-			pf.addStats(&stats)
+			d := enc.addStats(&stats)
 			if tr.Enabled() {
 				tr.End(solveSpan,
 					pipeline.Str("status", status.String()),
-					pipeline.Str("winner", pf.winner),
-					pipeline.Int("spec_core", int64(pf.specCore)),
-					pipeline.Int("conflicts", stats.SATConflicts-before.SATConflicts),
-					pipeline.Int("decisions", stats.SATDecisions-before.SATDecisions),
-					pipeline.Int("propagations", stats.SATPropagations-before.SATPropagations))
+					pipeline.Int("conflicts", d.Conflicts),
+					pipeline.Int("decisions", d.Decisions),
+					pipeline.Int("propagations", d.Propagations))
 			}
 			if status == sat.Unknown {
 				finish()
 				return &Result{Stats: stats}, ErrBudgetExceeded
 			}
 			if status == sat.Unsat {
-				// No n-state automaton: escalate. When the
-				// speculative member proved its unrestricted
-				// capacity unsatisfiable too, n+1 is already
-				// settled and the search skips to n+2, promoting
-				// the speculative solver as a warm start
-				// otherwise.
-				next := n + 1
-				if capUnsat {
-					next = n + 2
-				}
-				warm = pf.takeWarm(next)
-				n = next
-				bumped = true
-				continue
+				break // no n-state automaton: escalate
 			}
 			// Compliance check (Algorithm 1 lines 38–45), on the raw
 			// model first and on the canonical one once that complies.
-			m, invalid := check.model(pf.canonical(), &stats)
+			m, invalid := check.model(enc, &stats)
 			if len(invalid) > 0 {
 				refinements++
 				stats.Refinements++
@@ -526,11 +507,11 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 				if opts.ScratchRefinement {
 					// Pre-incremental behaviour: re-encode with the
 					// blocking clauses instead of extending the live
-					// solvers.
-					pf = buildPortfolio(n, nil)
+					// solver.
+					enc = buildEncoding(n)
 				} else {
 					for _, g := range invalid {
-						pf.blockGram(g)
+						enc.blockGram(g)
 					}
 				}
 				continue
@@ -552,7 +533,7 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 					// Hand the live solver state to the Live engine;
 					// nothing below aliases it after this return.
 					*opts.retain = searchRetained{
-						pf:           pf,
+						enc:          enc,
 						n:            n,
 						acceptWindow: acceptWindow,
 						blocked:      blocked,
@@ -598,13 +579,13 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 			}
 			if opts.ScratchRefinement {
 				// Pre-incremental behaviour: discard the live
-				// solvers and re-encode from scratch.
-				pf = buildPortfolio(n, nil)
+				// solver and re-encode from scratch.
+				enc = buildEncoding(n)
 				refinements = 0
 			} else if added {
-				pf.addSegment(segments[idx], anchored[idx])
+				enc.addSegment(segments[idx], anchored[idx])
 			} else {
-				pf.anchorSegment(idx)
+				enc.anchorSegment(idx)
 			}
 		}
 	}

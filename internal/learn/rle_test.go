@@ -103,7 +103,7 @@ func TestGenerateModelSeqsMatchesMulti(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		word = append(word, "send", "ack", "send", "ack", "timeout")
 	}
-	opts := Options{Segmented: true, Workers: 1}
+	opts := Options{Segmented: true}
 
 	ref, err := GenerateModelMulti([][]string{word}, opts)
 	if err != nil {

@@ -118,8 +118,7 @@ func decodeCNF(data []byte) (nVars int, clauses [][]Lit, assumptions []Lit) {
 
 // FuzzSolver cross-checks the CDCL solver against the brute-force
 // oracle on random ≤12-variable instances: plain solving, model
-// validity, solving under assumptions with core soundness, solving
-// with non-default restart/decay knobs, and an incremental re-solve
+// validity, solving under assumptions, and an incremental re-solve
 // after blocking the first model.
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{3, 0, 0x02, 0x05, 0x80, 0x03, 0x04, 0x80})
@@ -141,8 +140,8 @@ func FuzzSolver(f *testing.F) {
 		}
 
 		// Assumptions on a fresh solver: status matches brute force
-		// with the assumptions as units, failed assumption sets yield
-		// a sound core, and the solver survives for a plain re-solve.
+		// with the assumptions as units, and after a failed assumption
+		// set the solver survives for a plain re-solve.
 		s2 := mkSolver(nVars, clauses)
 		wantA := bruteForceAssuming(nVars, clauses, assumptions)
 		switch got := s2.SolveAssuming(assumptions...); {
@@ -157,36 +156,9 @@ func FuzzSolver(f *testing.F) {
 				}
 			}
 		default:
-			core := s2.UnsatCore()
-			if core == nil {
-				t.Fatal("nil core after UNSAT")
-			}
-			inA := map[Lit]bool{}
-			for _, a := range assumptions {
-				inA[a] = true
-			}
-			for _, l := range core {
-				if !inA[l] {
-					t.Fatalf("core literal %v not among assumptions %v", l, assumptions)
-				}
-			}
-			if bruteForceAssuming(nVars, clauses, core) {
-				t.Fatalf("core %v is not inconsistent (cnf %v)", core, clauses)
-			}
 			if got := s2.Solve(); (got == Sat) != want {
-				t.Fatalf("post-core Solve=%v, brute force sat=%v", got, want)
+				t.Fatalf("post-refutation Solve=%v, brute force sat=%v", got, want)
 			}
-		}
-
-		// Portfolio-style knob variation must not change the answer.
-		s3 := mkSolver(nVars, clauses)
-		s3.RestartBase = 25
-		s3.Decay = 0.85
-		if nVars > 1 {
-			s3.BumpActivity(nVars/2, 3)
-		}
-		if got := s3.Solve(); (got == Sat) != want {
-			t.Fatalf("knobbed Solve=%v, brute force sat=%v", got, want)
 		}
 
 		// Incremental: block the first model, re-solve, re-check.

@@ -18,11 +18,7 @@
 //   - activity-driven learned-clause deletion,
 //   - incremental use: clauses may be added between Solve calls, and
 //     SolveAssuming solves under temporary assumptions while keeping
-//     every learned clause for the next call; a failed assumption set
-//     yields an UnsatCore,
-//   - Simplify: deterministic level-0 inprocessing (satisfied-clause
-//     elimination, false-literal stripping, forward and self-
-//     subsumption) callable between solves.
+//     every learned clause for the next call.
 //
 // Clause storage is a flat arena: all literals live contiguously in
 // one slab, clauses are int32 offsets (crefs) into it, and watcher
@@ -34,7 +30,6 @@ package sat
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Lit is a literal: a propositional variable or its negation.
@@ -120,7 +115,7 @@ const (
 // arena is the flat clause store.
 type arena struct {
 	slab   []Lit
-	wasted int // words occupied by deleted clauses / stripped literals
+	wasted int // words occupied by deleted clauses
 }
 
 func (a *arena) alloc(lits []Lit, learnt bool) cref {
@@ -143,7 +138,7 @@ func (a *arena) deleted(c cref) bool {
 }
 
 // litsOf returns the clause's literal slice, borrowed from the slab
-// (mutations — watch swaps, strengthening — write through).
+// (watch swaps write through).
 func (a *arena) litsOf(c cref) []Lit {
 	off := int(c) + 1
 	if a.slab[c]&hdrLearnt != 0 {
@@ -173,14 +168,6 @@ func (a *arena) setActivity(c cref, f float32) {
 func (a *arena) del(c cref) {
 	a.wasted += a.words(c)
 	a.slab[c] |= hdrDeleted
-}
-
-// shrink drops the clause's literals beyond the first n; the dropped
-// words become wasted.
-func (a *arena) shrink(c cref, n int) {
-	old := a.size(c)
-	a.wasted += old - n
-	a.slab[c] = Lit(n<<hdrSizeShift) | (a.slab[c] & (hdrLearnt | hdrDeleted))
 }
 
 // watcher is one entry of a literal's watch list: the watched clause
@@ -218,16 +205,6 @@ type Solver struct {
 	// assumptions of the current SolveAssuming call; placed as the
 	// first decision levels of the search.
 	assumptions []Lit
-	// core is the final conflict of the last failed SolveAssuming
-	// call: a subset of the assumptions that is jointly inconsistent
-	// with the clauses. Empty (non-nil) when the formula is unsat
-	// regardless of assumptions; nil when the last solve did not end
-	// in Unsat.
-	core []Lit
-
-	// stop aborts the in-progress solve with Unknown when set (see
-	// Interrupt); cleared on entry to SolveAssuming.
-	stop atomic.Bool
 
 	// scratch buffers, reused across calls so the hot loops allocate
 	// only when a buffer grows.
@@ -249,12 +226,9 @@ type Solver struct {
 
 	// RestartBase scales the Luby restart sequence: the first restart
 	// fires after RestartBase conflicts. Zero means 100, the default.
-	// Portfolio solving races solvers that differ in this knob.
+	// MaxConflicts is only checked between restarts, so a small base
+	// makes a conflict budget bite promptly.
 	RestartBase int64
-
-	// Decay is the VSIDS activity decay divisor in (0, 1); smaller
-	// values focus harder on recent conflicts. Zero means 0.95.
-	Decay float64
 }
 
 // Stats counts solver work, exposed for the scalability experiments.
@@ -265,9 +239,6 @@ type Stats struct {
 	Restarts     int64
 	Learned      int64
 	Deleted      int64
-	Simplifies   int64 // Simplify passes run
-	Subsumed     int64 // clauses removed by subsumption or satisfaction
-	Strengthened int64 // literals removed by self-subsumption/stripping
 	Compactions  int64 // arena re-pack passes
 }
 
@@ -281,9 +252,6 @@ func (s Stats) Minus(o Stats) Stats {
 		Restarts:     s.Restarts - o.Restarts,
 		Learned:      s.Learned - o.Learned,
 		Deleted:      s.Deleted - o.Deleted,
-		Simplifies:   s.Simplifies - o.Simplifies,
-		Subsumed:     s.Subsumed - o.Subsumed,
-		Strengthened: s.Strengthened - o.Strengthened,
 		Compactions:  s.Compactions - o.Compactions,
 	}
 }
@@ -297,10 +265,6 @@ func New() *Solver {
 
 // NumVars returns the number of variables created so far.
 func (s *Solver) NumVars() int { return len(s.assign) }
-
-// NumClauses returns the number of stored clauses — problem plus
-// learned. Inprocessing schedules itself on the growth of this count.
-func (s *Solver) NumClauses() int { return len(s.clauses) + len(s.learnts) }
 
 // NewVar creates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
@@ -655,30 +619,9 @@ func (s *Solver) bumpClause(c cref) {
 	}
 }
 
-func (s *Solver) decayActivities() {
-	d := s.Decay
-	if d == 0 {
-		d = 0.95
-	}
-	s.varInc /= d
-}
-
-// BumpActivity raises variable v's activity by the given amount.
-// Seeding activities before the first solve changes the initial
-// branching order — one of the portfolio's diversification knobs.
-func (s *Solver) BumpActivity(v int, amount float64) {
-	if amount <= 0 {
-		return
-	}
-	s.activity[v] += amount
-	s.heap.update(v)
-}
-
-// Interrupt makes the in-progress (or next) solve return Unknown at
-// the next conflict or decision. It is the only Solver method safe to
-// call from another goroutine; a portfolio uses it to stop losing
-// solvers promptly. The flag clears when a new solve starts.
-func (s *Solver) Interrupt() { s.stop.Store(true) }
+// decayActivities decays every variable activity by 0.95, by growing
+// the bump increment instead of touching the scores.
+func (s *Solver) decayActivities() { s.varInc /= 0.95 }
 
 // backtrack undoes assignments above the given level.
 func (s *Solver) backtrack(level int) {
@@ -803,12 +746,12 @@ func quickMedian(xs []float64) float64 {
 	return xs[k]
 }
 
-// maybeCompact re-packs the arena when deleted clauses and stripped
-// literals waste more than half of it. Compaction allocates a fresh
-// slab sized to the live data, relocates problem clauses then learnts
-// in list order (so relocation is deterministic), and rewrites every
-// cref holder: the clause lists, the watcher lists, and the reasons of
-// current assignments.
+// maybeCompact re-packs the arena when deleted clauses waste more
+// than half of it. Compaction allocates a fresh slab sized to the live
+// data, relocates problem clauses then learnts in list order (so
+// relocation is deterministic), and rewrites every cref holder: the
+// clause lists, the watcher lists, and the reasons of current
+// assignments.
 func (s *Solver) maybeCompact() {
 	if s.ar.wasted < 1024 || 2*s.ar.wasted <= len(s.ar.slab) {
 		return
@@ -834,17 +777,16 @@ func (s *Solver) maybeCompact() {
 			s.watches[i][j].c = remap[s.watches[i][j].c]
 		}
 	}
+	// Every reason is live: problem clauses are never deleted, and
+	// reduceDB keeps the learnts that are reasons (locked).
 	for _, l := range s.trail {
 		v := l.Var()
 		if r := s.reason[v]; r != crefUndef {
-			if nc, ok := remap[r]; ok {
-				s.reason[v] = nc
-			} else {
-				// A level-0 reason whose clause was removed by
-				// inprocessing; level-0 assignments are permanent, so
-				// the reason is never consulted again.
-				s.reason[v] = crefUndef
+			nc, ok := remap[r]
+			if !ok {
+				panic("sat: compaction dropped a reason clause")
 			}
+			s.reason[v] = nc
 		}
 	}
 }
@@ -860,19 +802,14 @@ func (s *Solver) Solve() Status { return s.SolveAssuming() }
 // search mention none of them and persist for the next call, which is
 // what makes repeated solve/block/solve loops cheap. An Unsat result
 // caused by the assumptions (rather than the clauses alone) leaves the
-// solver reusable — ok stays true — and records the subset of
-// assumptions responsible, available from UnsatCore.
+// solver reusable: ok stays true.
 func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
-	s.stop.Store(false)
-	s.core = nil
 	if !s.ok {
-		s.core = []Lit{}
 		return Unsat
 	}
 	s.backtrack(0)
 	if c := s.propagate(); c != crefUndef {
 		s.ok = false
-		s.core = []Lit{}
 		return Unsat
 	}
 	s.assumptions = append(s.assumptions[:0], assumptions...)
@@ -894,10 +831,6 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 			// readable; AddClause and the next solve backtrack it.
 			return st
 		}
-		if s.stop.Load() {
-			s.backtrack(0)
-			return Unknown
-		}
 		s.Stats.Restarts++
 		if s.MaxConflicts > 0 && s.Stats.Conflicts-conflictsAtStart >= s.MaxConflicts {
 			s.backtrack(0)
@@ -906,33 +839,20 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 	}
 }
 
-// UnsatCore returns the final conflict of the last Unsat result: a
-// subset of the assumptions passed to SolveAssuming that is jointly
-// inconsistent with the clauses. It is empty but non-nil when the
-// clauses are unsatisfiable regardless of the assumptions, and nil
-// when the last solve did not return Unsat. The slice is only valid
-// until the next solve.
-func (s *Solver) UnsatCore() []Lit { return s.core }
-
-// search runs CDCL until a result, a conflict budget exhaustion
-// (returns Unknown, triggering a restart), or an interrupt. Pending
-// assumptions are installed as decision levels before any free
-// decision; an assumption found false ends the search with Unsat and
-// a final conflict, without condemning the clause set.
+// search runs CDCL until a result or a conflict budget exhaustion
+// (returns Unknown, triggering a restart). Pending assumptions are
+// installed as decision levels before any free decision; an assumption
+// found false ends the search with Unsat without condemning the clause
+// set.
 func (s *Solver) search(budget int64, maxLearnts *int64) Status {
 	var conflicts int64
 	for {
-		if s.stop.Load() {
-			s.backtrack(0)
-			return Unknown
-		}
 		confl := s.propagate()
 		if confl != crefUndef {
 			s.Stats.Conflicts++
 			conflicts++
 			if len(s.trailLim) == 0 {
 				s.ok = false
-				s.core = []Lit{}
 				return Unsat
 			}
 			learnt, btLevel := s.analyze(confl)
@@ -940,7 +860,6 @@ func (s *Solver) search(budget int64, maxLearnts *int64) Status {
 			if len(learnt) == 1 {
 				if !s.enqueue(learnt[0], crefUndef) {
 					s.ok = false
-					s.core = []Lit{}
 					return Unsat
 				}
 			} else {
@@ -950,7 +869,6 @@ func (s *Solver) search(budget int64, maxLearnts *int64) Status {
 				s.attach(c)
 				if !s.enqueue(learnt[0], c) {
 					s.ok = false
-					s.core = []Lit{}
 					return Unsat
 				}
 			}
@@ -972,7 +890,6 @@ func (s *Solver) search(budget int64, maxLearnts *int64) Status {
 			p := s.assumptions[len(s.trailLim)]
 			switch s.value(p) {
 			case lFalse:
-				s.analyzeFinal(p)
 				s.backtrack(0)
 				return Unsat
 			case lTrue:
@@ -1002,247 +919,9 @@ func (s *Solver) search(budget int64, maxLearnts *int64) Status {
 	}
 }
 
-// analyzeFinal computes the final conflict after assumption p was
-// found false: the subset of assumptions whose propagation forced ¬p,
-// plus p itself. It walks the trail top-down from the first decision
-// level, expanding marked implied literals through their reasons and
-// collecting marked assumption decisions (the only reason-free
-// assignments above level 0 while assumptions are being placed).
-func (s *Solver) analyzeFinal(p Lit) {
-	s.core = []Lit{p}
-	if s.level[p.Var()] == 0 || len(s.trailLim) == 0 {
-		return
-	}
-	s.seen[p.Var()] = true
-	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
-		v := s.trail[i].Var()
-		if !s.seen[v] {
-			continue
-		}
-		if r := s.reason[v]; r == crefUndef {
-			s.core = append(s.core, s.trail[i])
-		} else {
-			for _, q := range s.ar.litsOf(r)[1:] {
-				if s.level[q.Var()] > 0 {
-					s.seen[q.Var()] = true
-				}
-			}
-		}
-		s.seen[v] = false
-	}
-	s.seen[p.Var()] = false
-}
-
 // ResetForNextSolve backtracks to level 0 so further clauses can be
 // added after a Sat result. Model values become invalid.
 func (s *Solver) ResetForNextSolve() { s.backtrack(0) }
-
-// subsumeBudget caps the literal comparisons one Simplify pass spends
-// on subsumption, so inprocessing stays a bounded, deterministic slice
-// of the solve time regardless of formula size.
-const subsumeBudget = 4_000_000
-
-// Simplify performs deterministic level-0 inprocessing between
-// solves: satisfied-clause elimination, false-literal stripping, and
-// forward plus self-subsumption over the problem clauses. It preserves
-// logical equivalence of the formula (every model before is a model
-// after, restricted to the same clauses), so callers may interleave it
-// freely with Solve/SolveAssuming. Returns false when the formula is
-// found unsatisfiable at the top level.
-func (s *Solver) Simplify() bool {
-	if !s.ok {
-		return false
-	}
-	s.backtrack(0)
-	if s.propagate() != crefUndef {
-		s.ok = false
-		return false
-	}
-	s.Stats.Simplifies++
-	// Level-0 assignments are permanent and conflict analysis skips
-	// level-0 variables, so their reasons are never consulted again.
-	// Clearing them now lets elimination drop those clauses without
-	// leaving dangling crefs behind.
-	for _, l := range s.trail {
-		s.reason[l.Var()] = crefUndef
-	}
-	s.clauses = s.simplifyList(s.clauses)
-	s.learnts = s.simplifyList(s.learnts)
-	if s.ok {
-		s.subsume()
-	}
-	s.maybeCompact()
-	return s.ok
-}
-
-// simplifyList drops clauses satisfied at level 0 and strips false
-// literals from the rest. Watched literals are never false here: after
-// full level-0 propagation a clause with a false watch is either
-// satisfied or would have propagated, so stripping only touches
-// positions ≥ 2 and the watchers stay valid.
-func (s *Solver) simplifyList(list []cref) []cref {
-	kept := list[:0]
-	for _, c := range list {
-		lits := s.ar.litsOf(c)
-		satisfied := false
-		for _, l := range lits {
-			if s.value(l) == lTrue {
-				satisfied = true
-				break
-			}
-		}
-		if satisfied {
-			s.removeClause(c)
-			s.Stats.Subsumed++
-			continue
-		}
-		j := 0
-		for _, l := range lits {
-			if s.value(l) != lFalse {
-				lits[j] = l
-				j++
-			}
-		}
-		if j < len(lits) {
-			s.Stats.Strengthened += int64(len(lits) - j)
-			s.ar.shrink(c, j)
-		}
-		kept = append(kept, c)
-	}
-	return kept
-}
-
-// subsume runs forward and self-subsumption over the problem clauses:
-// a clause C subsumes D when C ⊆ D (D is removed); when C becomes a
-// subset of D after flipping exactly one literal p, resolution on p
-// strengthens D by removing ¬p. Candidate pairs come from occurrence
-// lists on the least-frequent variable of C, pre-filtered by 64-bit
-// variable signatures; iteration order is list order throughout, so
-// the pass is deterministic.
-func (s *Solver) subsume() {
-	nv := s.NumVars()
-	occ := make([][]cref, nv)
-	sigs := make(map[cref]uint64, len(s.clauses))
-	for _, c := range s.clauses {
-		var sig uint64
-		for _, l := range s.ar.litsOf(c) {
-			occ[l.Var()] = append(occ[l.Var()], c)
-			sig |= 1 << (uint(l.Var()) & 63)
-		}
-		sigs[c] = sig
-	}
-	budget := subsumeBudget
-	for _, c := range s.clauses {
-		if s.ar.deleted(c) {
-			continue
-		}
-		clits := s.ar.litsOf(c)
-		// Scan the occurrence list of c's least-frequent variable:
-		// every clause containing all of c's literals is in it.
-		mv := clits[0].Var()
-		var csig uint64
-		for _, l := range clits {
-			if len(occ[l.Var()]) < len(occ[mv]) {
-				mv = l.Var()
-			}
-			csig |= 1 << (uint(l.Var()) & 63)
-		}
-		for _, d := range occ[mv] {
-			if d == c || s.ar.deleted(d) || s.ar.deleted(c) {
-				continue
-			}
-			if budget <= 0 {
-				return
-			}
-			dlits := s.ar.litsOf(d)
-			if len(dlits) < len(clits) || csig&^sigs[d] != 0 {
-				continue
-			}
-			budget -= len(dlits)
-			flip, ok := subsumes(clits, dlits)
-			if !ok {
-				continue
-			}
-			if flip == -1 {
-				s.removeClause(d)
-				s.Stats.Subsumed++
-				continue
-			}
-			if !s.strengthen(d, flip) {
-				return
-			}
-			// c's own literals may have changed if d's strengthening
-			// propagated a unit that falsified one of them; re-read.
-			if s.ar.deleted(c) {
-				break
-			}
-			clits = s.ar.litsOf(c)
-		}
-	}
-	kept := s.clauses[:0]
-	for _, c := range s.clauses {
-		if !s.ar.deleted(c) {
-			kept = append(kept, c)
-		}
-	}
-	s.clauses = kept
-}
-
-// subsumes checks C ⊆ D modulo at most one flipped literal. It returns
-// (-1, true) for plain subsumption, (q, true) when exactly one literal
-// of C appears in D as its negation q (strengthen D by removing q),
-// and (_, false) otherwise.
-func subsumes(c, d []Lit) (Lit, bool) {
-	var flip Lit = -1
-	for _, p := range c {
-		exact, neg := false, false
-		for _, q := range d {
-			if q == p {
-				exact = true
-				break
-			}
-			if q == p.Not() {
-				neg = true
-			}
-		}
-		if exact {
-			continue
-		}
-		if neg && flip == -1 {
-			flip = p.Not()
-			continue
-		}
-		return -1, false
-	}
-	return flip, true
-}
-
-// strengthen removes literal q from clause d at level 0, re-watching
-// or — when d becomes unit — propagating. Returns false when the
-// propagation exposes top-level unsatisfiability.
-func (s *Solver) strengthen(d cref, q Lit) bool {
-	s.detach(d)
-	lits := s.ar.litsOf(d)
-	j := 0
-	for _, l := range lits {
-		if l != q {
-			lits[j] = l
-			j++
-		}
-	}
-	s.ar.shrink(d, j)
-	s.Stats.Strengthened++
-	if j == 1 {
-		s.ar.del(d)
-		if !s.enqueue(lits[0], crefUndef) || s.propagate() != crefUndef {
-			s.ok = false
-			return false
-		}
-		return true
-	}
-	s.attach(d)
-	return true
-}
 
 // varHeap is a max-heap of variables ordered by activity.
 type varHeap struct {

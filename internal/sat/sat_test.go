@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // bruteForce decides satisfiability of a clause set by enumeration;
@@ -571,9 +570,6 @@ func TestSolveAssumingBasic(t *testing.T) {
 	if got := s.Solve(); got != Sat {
 		t.Fatalf("formula without assumptions: got %v, want SAT", got)
 	}
-	if s.UnsatCore() != nil {
-		t.Errorf("core after Sat = %v, want nil", s.UnsatCore())
-	}
 	if got := s.SolveAssuming(Pos(a)); got != Sat {
 		t.Fatalf("assuming a alone: got %v, want SAT", got)
 	}
@@ -583,29 +579,29 @@ func TestSolveAssumingBasic(t *testing.T) {
 	}
 }
 
+// The TestUnsatCore* tests pin which subset of a refuted assumption
+// set is at fault, asked through SolveAssuming alone: the core is
+// refuted, every proper subset of it is not, and the solver stays
+// usable unless the clauses themselves are unsatisfiable.
+
 func TestUnsatCore(t *testing.T) {
 	s := New()
 	a, b, c, d := s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar()
 	s.AddClause(Neg(a), Pos(b))
 	s.AddClause(Neg(b), Neg(c))
-	_ = d // irrelevant assumption below must not enter the core
 
 	if got := s.SolveAssuming(Pos(d), Pos(a), Pos(c)); got != Unsat {
-		t.Fatalf("got %v, want UNSAT", got)
+		t.Fatalf("a ∧ c under a→b→¬c: got %v, want UNSAT", got)
 	}
-	core := s.UnsatCore()
-	if core == nil {
-		t.Fatal("nil core after assumption UNSAT")
+	// {a, c} is the core: the irrelevant assumption d is not needed
+	// for the refutation, and neither a nor c refutes alone.
+	if got := s.SolveAssuming(Pos(a), Pos(c)); got != Unsat {
+		t.Errorf("core {a, c}: got %v, want UNSAT", got)
 	}
-	inCore := map[Lit]bool{}
-	for _, l := range core {
-		inCore[l] = true
-	}
-	if inCore[Pos(d)] {
-		t.Errorf("irrelevant assumption d in core %v", core)
-	}
-	if !inCore[Pos(a)] || !inCore[Pos(c)] {
-		t.Errorf("core %v missing a or c", core)
+	for _, sub := range [][]Lit{{Pos(d), Pos(a)}, {Pos(d), Pos(c)}} {
+		if got := s.SolveAssuming(sub...); got != Sat {
+			t.Errorf("proper subset %v of the core plus d: got %v, want SAT", sub, got)
+		}
 	}
 }
 
@@ -616,9 +612,11 @@ func TestUnsatCoreContradictoryAssumptions(t *testing.T) {
 	if got := s.SolveAssuming(Pos(v), Neg(v)); got != Unsat {
 		t.Fatalf("got %v, want UNSAT", got)
 	}
-	core := s.UnsatCore()
-	if len(core) != 2 {
-		t.Fatalf("core %v, want both contradictory assumptions", core)
+	// Both assumptions are needed: each alone is satisfiable.
+	for _, l := range []Lit{Pos(v), Neg(v)} {
+		if got := s.SolveAssuming(l); got != Sat {
+			t.Errorf("assuming %v alone: got %v, want SAT", l, got)
+		}
 	}
 }
 
@@ -628,8 +626,10 @@ func TestUnsatCoreEmptyWhenFormulaUnsat(t *testing.T) {
 	if got := s.SolveAssuming(Pos(0)); got != Unsat {
 		t.Fatalf("got %v, want UNSAT", got)
 	}
-	if core := s.UnsatCore(); core == nil || len(core) != 0 {
-		t.Errorf("core %v, want empty non-nil (formula unsat regardless)", core)
+	// The empty assumption set is already refuted: the clauses are
+	// unsatisfiable regardless of the assumptions.
+	if got := s.Solve(); got != Unsat {
+		t.Errorf("without assumptions: got %v, want UNSAT", got)
 	}
 }
 
@@ -679,90 +679,13 @@ func TestSolveAssumingRandomAgainstBruteForce(t *testing.T) {
 				}
 			}
 		} else {
-			core := s.UnsatCore()
-			if core == nil {
-				t.Fatalf("iter %d: nil core after UNSAT", iter)
-			}
-			inAssumptions := map[Lit]bool{}
-			for _, a := range assumptions {
-				inAssumptions[a] = true
-			}
-			for _, l := range core {
-				if !inAssumptions[l] {
-					t.Fatalf("iter %d: core literal %v not among assumptions %v", iter, l, assumptions)
-				}
-			}
-			if bruteForceAssuming(nVars, clauses, core) {
-				t.Fatalf("iter %d: core %v not actually inconsistent", iter, core)
-			}
 			// The solver must remain reusable after an
 			// assumption failure.
 			plain := s.Solve()
 			plainWant, _ := bruteForce(nVars, clauses)
 			if (plain == Sat) != plainWant {
-				t.Fatalf("iter %d: post-core Solve %v, brute force sat=%v", iter, plain, plainWant)
+				t.Fatalf("iter %d: post-refutation Solve %v, brute force sat=%v", iter, plain, plainWant)
 			}
-		}
-	}
-}
-
-func TestInterrupt(t *testing.T) {
-	nv, clauses := pigeonhole(10, 9)
-	s := mkSolver(nv, clauses)
-	done := make(chan Status, 1)
-	go func() { done <- s.Solve() }()
-	// Solve clears the flag on entry, so a single interrupt racing
-	// the solve start could be lost; keep interrupting until the
-	// solve gives up.
-	var st Status
-loop:
-	for {
-		select {
-		case st = <-done:
-			break loop
-		default:
-			s.Interrupt()
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	// Unknown is the expected outcome; Unsat is tolerated on the
-	// (unlikely) chance the solve finished before the flag landed.
-	if st == Sat {
-		t.Fatalf("PHP(10,9) returned SAT")
-	}
-	if st == Unknown {
-		// Interrupted solves must leave the solver reusable.
-		s.MaxConflicts = 10
-		if got := s.Solve(); got == Sat {
-			t.Fatal("PHP(10,9) SAT after interrupt")
-		}
-	}
-}
-
-func TestRestartBaseAndDecayKnobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 50; iter++ {
-		nVars := 4 + rng.Intn(6)
-		var clauses [][]Lit
-		for i := 0; i < 3*nVars; i++ {
-			var c []Lit
-			for len(c) < 3 {
-				v := rng.Intn(nVars)
-				if rng.Intn(2) == 0 {
-					c = append(c, Pos(v))
-				} else {
-					c = append(c, Neg(v))
-				}
-			}
-			clauses = append(clauses, c)
-		}
-		want, _ := bruteForce(nVars, clauses)
-		s := mkSolver(nVars, clauses)
-		s.RestartBase = 25
-		s.Decay = 0.85
-		s.BumpActivity(nVars/2, 5)
-		if got := s.Solve(); (got == Sat) != want {
-			t.Fatalf("iter %d: knobs changed the answer: got %v, want sat=%v", iter, got, want)
 		}
 	}
 }
@@ -805,4 +728,124 @@ func TestWriteDIMACSUnsatFormula(t *testing.T) {
 	if s2.Solve() != Unsat {
 		t.Errorf("round-tripped unsat formula solved %v\n%s", s2.Solve(), buf.String())
 	}
+}
+
+// randomInstance generates a random clause set with mixed widths.
+func randomInstance(r *rand.Rand, nVars, nClauses int) [][]Lit {
+	clauses := make([][]Lit, nClauses)
+	for i := range clauses {
+		w := 1 + r.Intn(5)
+		c := make([]Lit, w)
+		for j := range c {
+			v := r.Intn(nVars)
+			if r.Intn(2) == 0 {
+				c[j] = Pos(v)
+			} else {
+				c[j] = Neg(v)
+			}
+		}
+		clauses[i] = c
+	}
+	return clauses
+}
+
+// TestArenaCompaction drives the clause arena past its waste threshold
+// and checks that compaction preserves the clause set and solvability.
+func TestArenaCompaction(t *testing.T) {
+	const nVars = 50
+	s := New()
+	for i := 0; i < nVars; i++ {
+		s.NewVar()
+	}
+	r := rand.New(rand.NewSource(3))
+	var clauses [][]Lit
+	for i := 0; i < 800; i++ {
+		c := []Lit{Pos(r.Intn(nVars)), Neg(r.Intn(nVars)), Pos(r.Intn(nVars))}
+		clauses = append(clauses, c)
+		s.AddClause(c...)
+	}
+	// Delete two thirds of the stored clauses directly (white box).
+	kept := s.clauses[:0]
+	var keptCNF [][]Lit
+	for i, c := range s.clauses {
+		if i%3 != 0 {
+			s.removeClause(c)
+			continue
+		}
+		kept = append(kept, c)
+		keptCNF = append(keptCNF, append([]Lit(nil), s.ar.litsOf(c)...))
+	}
+	s.clauses = kept
+	s.maybeCompact()
+	if s.Stats.Compactions == 0 {
+		t.Fatalf("compaction did not trigger (wasted %d, slab %d)", s.ar.wasted, len(s.ar.slab))
+	}
+	if s.ar.wasted != 0 {
+		t.Errorf("wasted = %d after compaction", s.ar.wasted)
+	}
+	for i, c := range s.clauses {
+		lits := s.ar.litsOf(c)
+		if len(lits) != len(keptCNF[i]) {
+			t.Fatalf("clause %d changed length after compaction", i)
+		}
+		for j := range lits {
+			if lits[j] != keptCNF[i][j] {
+				t.Fatalf("clause %d literal %d changed: %v vs %v", i, j, lits[j], keptCNF[i][j])
+			}
+		}
+	}
+	if st := s.Solve(); st != Sat && st != Unsat {
+		t.Fatalf("post-compaction solve = %v", st)
+	}
+	if st := s.Solve(); st == Sat {
+		checkModel(t, s, keptCNF)
+	}
+}
+
+// TestSolveAllocsSteadyState is the allocation audit guard: once the
+// solver's scratch buffers have warmed up, a re-solve of an unchanged
+// satisfiable instance (phase saving walks straight back to the model,
+// so no conflicts occur) must not allocate on the hot paths.
+func TestSolveAllocsSteadyState(t *testing.T) {
+	nVars := 40
+	var s *Solver
+	for seed := int64(0); ; seed++ {
+		if seed == 64 {
+			t.Fatal("no satisfiable random instance in 64 seeds")
+		}
+		r := rand.New(rand.NewSource(seed))
+		s = mkSolver(nVars, randomInstance(r, nVars, 80))
+		if s.Solve() == Sat {
+			break
+		}
+	}
+	s.Solve() // warm every buffer at its final size
+	allocs := testing.AllocsPerRun(50, func() {
+		if s.Solve() != Sat {
+			t.Fatal("re-solve flipped status")
+		}
+	})
+	// Propagation, decisions, trail and watch updates must all reuse
+	// storage; the only tolerated allocations are incidental (e.g. a
+	// rare heap growth), hence a small bound rather than exactly 0.
+	if allocs > 2 {
+		t.Errorf("steady-state Solve allocates %.1f times per call", allocs)
+	}
+}
+
+// BenchmarkSolveConflictRate measures raw CDCL throughput — conflicts
+// per second on PHP(8,7), every solve an identical full UNSAT proof —
+// the number BENCH_solve.json pins.
+func BenchmarkSolveConflictRate(b *testing.B) {
+	nv, clauses := pigeonhole(8, 7)
+	var conflicts int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := mkSolver(nv, clauses)
+		if s.Solve() != Unsat {
+			b.Fatal("PHP(8,7) not UNSAT")
+		}
+		conflicts += s.Stats.Conflicts
+	}
+	b.ReportMetric(float64(conflicts)/b.Elapsed().Seconds(), "conflicts/s")
 }

@@ -49,8 +49,9 @@ func runLiveCSV(t *testing.T, csvBytes []byte, opts repro.LearnOptions, lopts re
 // TestLiveMatchesBatchEveryVersion is the ISSUE's property test: for
 // the counter, fifo, and serial workloads, the live-maintained model at
 // every version boundary V must be byte-identical to a fresh batch
-// learn over exactly the prefix the version's watermark covers — at
-// worker counts 1 and 4, portfolio off and on. A version covering S
+// learn over exactly the prefix the version's watermark covers — with
+// the deprecated, ignored LearnOptions.Workers at 1 and 4. A version
+// covering S
 // predicate steps corresponds to the first S+w-1 observations (the
 // generator's window w spans w observations per symbol).
 func TestLiveMatchesBatchEveryVersion(t *testing.T) {
@@ -65,9 +66,6 @@ func TestLiveMatchesBatchEveryVersion(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", workload, workers), func(t *testing.T) {
 				opts := repro.LearnOptions{Workers: workers}
-				if workers > 1 {
-					opts.Portfolio = 4
-				}
 				mnt, p, recs := runLiveCSV(t, buf.Bytes(), opts, repro.LiveOptions{})
 				if len(recs) == 0 {
 					t.Fatal("no versions emitted")

@@ -169,16 +169,10 @@ type LearnOptions struct {
 	NoSymmetryBreaking bool
 	// Timeout bounds the model-construction search.
 	Timeout time.Duration
-	// Portfolio races this many SAT solver configurations per solve
-	// during model construction (canonical, speculative N+1, restart
-	// and decay variants — see internal/learn). Zero or one selects
-	// the serial path. The learned model is identical for every
-	// Portfolio and Workers setting.
-	Portfolio int
-	// Workers bounds the solver portfolio's concurrency. Zero means
-	// one worker per available CPU; 1 runs the canonical solver only.
-	// The result is bit-for-bit identical either way (see
-	// learn.Options.Workers).
+	// Workers is ignored: model construction runs one SAT solver.
+	//
+	// Deprecated: Workers bounded the concurrency of a racing solver
+	// portfolio that no longer exists; setting it changes nothing.
 	Workers int
 	// Synth tunes the predicate synthesizer.
 	Synth synth.Options
@@ -364,8 +358,6 @@ func NewPipeline(schema *Schema, opts LearnOptions) (*Pipeline, error) {
 			Segmented:          !opts.NonSegmented,
 			Timeout:            opts.Timeout,
 			NoSymmetryBreaking: opts.NoSymmetryBreaking,
-			Portfolio:          opts.Portfolio,
-			Workers:            opts.Workers,
 		},
 		Telemetry:  opts.Telemetry,
 		Context:    opts.Context,

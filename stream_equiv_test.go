@@ -42,9 +42,10 @@ func openExampleSource(t *testing.T, path string) (repro.Source, func()) {
 // TestStreamingMatchesBatchGolden is the ISSUE's equivalence
 // criterion: for every example trace, learning from the streaming
 // source must produce an automaton byte-identical to the batch path's
-// (same String() rendering: states, transitions, start state), at
-// worker counts 1 and 4. The batch side reuses the golden corpus so a
-// divergence pinpoints which path moved.
+// (same String() rendering: states, transitions, start state), with
+// the deprecated, ignored LearnOptions.Workers at 1 and 4. The batch
+// side reuses the golden corpus so a divergence pinpoints which path
+// moved.
 func TestStreamingMatchesBatchGolden(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("examples", "traces", "*"))
 	if err != nil {
