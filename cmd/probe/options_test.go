@@ -25,7 +25,7 @@ func TestCoreOptionsSegmented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := core.NewPipeline(full.Schema(), coreOptions(&options{}))
+	pl, err := core.NewPipeline(full.Schema(), coreOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

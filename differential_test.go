@@ -94,32 +94,6 @@ func TestDifferentialModes(t *testing.T) {
 				}
 			}
 
-			// Warm-cache leg: prime a shared synthesis cache, then
-			// relearn entirely from it — the cached run must also
-			// reproduce the batch automaton (see internal/synthcache).
-			cacheDir := t.TempDir()
-			prime, err := repro.OpenSynthCache(cacheDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := repro.Learn(in.tr, repro.LearnOptions{Workers: 4, SynthCache: prime}); err != nil {
-				t.Fatalf("cache-priming learn: %v", err)
-			}
-			warm, err := repro.OpenSynthCache(cacheDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := repro.LearnSource(repro.NewTraceSource(in.tr), repro.LearnOptions{Workers: 4, SynthCache: warm})
-			if err != nil {
-				t.Fatalf("warm-cache learn: %v", err)
-			}
-			if got := m.Automaton.String(); got != want {
-				t.Errorf("warm-cache automaton diverged from batch:\nbatch:\n%s\nwarm-cache:\n%s", want, got)
-			}
-			if st := warm.Stats(); st.Hits == 0 || st.Misses != 0 {
-				t.Errorf("warm-cache run stats %+v, want all hits", st)
-			}
-
 			// Crash mid-ingestion, then resume from the surviving
 			// checkpoint: the recovered model must also match.
 			dir := t.TempDir()

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"repro/internal/automaton"
+	"repro/internal/checkpoint"
 	"repro/internal/expr"
+	"repro/internal/learn"
 	"repro/internal/trace"
 )
 
@@ -184,5 +186,80 @@ func TestSeedsSurviveReload(t *testing.T) {
 	seeds := loaded.pipeline.gen.Seeds()
 	if len(seeds["x"]) == 0 {
 		t.Error("seeds not restored")
+	}
+}
+
+// deepPredicate is a canonical counter predicate wrapped in a million
+// parentheses: far past the expression parser's nesting bound.
+func deepPredicate() string {
+	const depth = 1_000_000
+	return strings.Repeat("(", depth) + "x' = x + 1" + strings.Repeat(")", depth)
+}
+
+// TestReadModelDeepNesting: a model whose alphabet line nests a
+// million levels deep is rejected with an error, quickly, instead of
+// overflowing the parser's stack.
+func TestReadModelDeepNesting(t *testing.T) {
+	src := "t2m-model v1\nschema x:int\nwindow 3\nstates 1\ninitial 0\nalphabet 1\np0 " +
+		deepPredicate() + "\ntransitions 1\n0 p0 0\nseeds 0\n"
+	start := time.Now()
+	if _, err := ReadModel(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+		t.Fatalf("ReadModel err = %v, want a nesting error", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("rejection took %v, want under 1s", d)
+	}
+}
+
+// TestResumeDeepNesting: a checkpoint whose generator-state predicate
+// nests a million levels deep survives Encode/Decode (it is
+// well-formed JSON under a valid hash) but is refused with an error
+// when a run resumes from it.
+func TestResumeDeepNesting(t *testing.T) {
+	tr := counterTrace(t, 40)
+	dir := t.TempDir()
+	p, err := NewPipeline(tr.Schema(), Options{
+		Learn:      learn.Options{Segmented: true},
+		Checkpoint: checkpoint.Config{Dir: dir, Every: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Learn(tr); err != nil {
+		t.Fatal(err)
+	}
+	lr, err := checkpoint.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lr.State.Predicate.Preds) == 0 {
+		t.Fatal("checkpoint holds no predicates")
+	}
+	lr.State.Predicate.Preds[0] = deepPredicate()
+	data, _, err := checkpoint.Encode(lr.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, sum, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	p, err = NewPipeline(tr.Schema(), Options{
+		Learn: learn.Options{Segmented: true},
+		Checkpoint: checkpoint.Config{
+			Dir:  t.TempDir(),
+			From: &checkpoint.LoadResult{State: st, SHA256: sum},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Learn(tr); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+		t.Fatalf("resume err = %v, want a nesting error", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("rejection took %v, want under 1s", d)
 	}
 }

@@ -71,18 +71,11 @@ var Telemetry *repro.Telemetry
 // context here so ^C aborts a long evaluation cleanly).
 var Context context.Context
 
-// SynthCache, when non-nil, shares synthesized window predicates
-// across every experiment run (cmd/repro's -synth-cache flag). It
-// never changes results: models are byte-identical with the cache
-// cold, warm, shared or disabled.
-var SynthCache *repro.SynthCache
-
-// withRunOptions applies the package-level telemetry, synthesis cache and
-// cancellation context to a run's options.
+// withRunOptions applies the package-level telemetry and cancellation
+// context to a run's options.
 func withRunOptions(opts repro.LearnOptions) repro.LearnOptions {
 	opts.Telemetry = Telemetry
 	opts.Context = Context
-	opts.SynthCache = SynthCache
 	return opts
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 var testTypes = map[string]Type{
@@ -119,6 +120,45 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range bad {
 		if e, err := Parse(src, testTypes); err == nil {
 			t.Errorf("Parse(%q) = %s, want error", src, e)
+		}
+	}
+}
+
+// TestParseNestingBound: nesting past maxNesting — parentheses, unary
+// chains or ite — is a parse error, returned quickly even a million
+// levels deep; nesting up to the bound parses.
+func TestParseNestingBound(t *testing.T) {
+	nest := func(open, leaf, close string, n int) string {
+		return strings.Repeat(open, n) + leaf + strings.Repeat(close, n)
+	}
+	const deep = 1_000_000
+	bad := map[string]string{
+		"parens": nest("(", "x", ")", deep),
+		"neg":    nest("-", "x", "", deep),
+		"not":    nest("!", "flag", "", deep),
+		"ite":    nest("ite(flag, x, ", "x", ")", deep),
+		"mixed":  nest("-(", "x", ")", deep),
+		"bound":  nest("(", "x", ")", maxNesting),
+	}
+	for name, src := range bad {
+		t.Run(name, func(t *testing.T) {
+			start := time.Now()
+			if _, err := Parse(src, testTypes); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+				t.Errorf("err = %v, want a nesting error", err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("rejection took %v, want under 1s", d)
+			}
+		})
+	}
+	ok := []string{
+		nest("(", "x", ")", maxNesting-1),
+		nest("-", "x", "", maxNesting-1),
+		nest("ite(flag, x, ", "x", ")", maxNesting-1),
+	}
+	for _, src := range ok {
+		if _, err := Parse(src, testTypes); err != nil {
+			t.Errorf("Parse at nesting %d: %v", maxNesting-1, err)
 		}
 	}
 }

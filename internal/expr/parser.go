@@ -24,12 +24,14 @@ import (
 //
 // types gives the type of each trace variable; identifiers not present
 // in types are a parse error. Symbols ('quoted') parse as Sym literals.
+// Factors nested deeper than maxNesting are a parse error.
 func Parse(src string, types map[string]Type) (Expr, error) {
-	p := &parser{types: types}
-	if err := p.lex(src); err != nil {
-		return nil, err
-	}
+	p := &parser{src: src, types: types}
+	p.scan()
 	e, err := p.parseOr()
+	if p.err != nil {
+		return nil, p.err
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -71,74 +73,83 @@ type token struct {
 	pos  int
 }
 
+// maxNesting bounds how deeply factors may nest: each parenthesis,
+// unary operator and ite opens one level. The parser recurses a few
+// frames per level, and a goroutine stack overflow is fatal rather than
+// a recoverable panic, so model files and checkpoints must not be able
+// to choose the depth. Every expression the learner prints nests only a
+// few levels deep.
+const maxNesting = 1000
+
+// parser lexes on demand, one token of lookahead at a time, so input
+// past the point where parsing stops is never scanned.
 type parser struct {
-	toks  []token
-	i     int
+	src   string
+	pos   int   // offset of the first byte not yet scanned
+	tok   token // lookahead
+	err   error // lexical error; scanning stops there
+	depth int   // parseFactor calls on the stack
 	types map[string]Type
 }
 
-func (p *parser) lex(src string) error {
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '(':
-			p.toks = append(p.toks, token{tokLParen, "(", i})
-			i++
-		case c == ')':
-			p.toks = append(p.toks, token{tokRParen, ")", i})
-			i++
-		case c == ',':
-			p.toks = append(p.toks, token{tokComma, ",", i})
-			i++
-		case c == '\'':
-			j := strings.IndexByte(src[i+1:], '\'')
-			if j < 0 {
-				return fmt.Errorf("lex %q: unterminated symbol at %d", src, i)
-			}
-			p.toks = append(p.toks, token{tokSym, src[i+1 : i+1+j], i})
-			i += j + 2
-		case c >= '0' && c <= '9':
-			j := i
-			for j < len(src) && src[j] >= '0' && src[j] <= '9' {
-				j++
-			}
-			p.toks = append(p.toks, token{tokInt, src[i:j], i})
-			i = j
-		case isIdentStart(rune(c)):
-			j := i
-			for j < len(src) && isIdentRune(rune(src[j])) {
-				j++
-			}
-			text := src[i:j]
-			// A trailing apostrophe marks a primed variable;
-			// it belongs to the identifier token.
-			if j < len(src) && src[j] == '\'' {
-				// Only when not opening a symbol literal:
-				// symbols always follow an operator, never an
-				// identifier, so an apostrophe directly after
-				// identifier characters is a prime.
-				text += "'"
-				j++
-			}
-			p.toks = append(p.toks, token{tokIdent, text, i})
-			i = j
-		default:
-			for _, op := range [...]string{"&&", "||", "!=", "<=", ">=", "=", "<", ">", "+", "-", "*", "!"} {
-				if strings.HasPrefix(src[i:], op) {
-					p.toks = append(p.toks, token{tokOp, op, i})
-					i += len(op)
-					goto next
-				}
-			}
-			return fmt.Errorf("lex %q: unexpected character %q at %d", src, c, i)
-		next:
-		}
+// scan lexes the token at p.pos into the lookahead. A lexical error is
+// recorded in p.err and scans as end of input, so parsing stops there.
+func (p *parser) scan() {
+	src, i := p.src, p.pos
+	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
+		i++
 	}
-	p.toks = append(p.toks, token{tokEOF, "", len(src)})
-	return nil
+	p.tok = token{tokEOF, "", i}
+	p.pos = i
+	if i == len(src) || p.err != nil {
+		return
+	}
+	c := src[i]
+	j := i + 1
+	switch {
+	case c == '(':
+		p.tok = token{tokLParen, "(", i}
+	case c == ')':
+		p.tok = token{tokRParen, ")", i}
+	case c == ',':
+		p.tok = token{tokComma, ",", i}
+	case c == '\'':
+		k := strings.IndexByte(src[i+1:], '\'')
+		if k < 0 {
+			p.err = fmt.Errorf("lex %q: unterminated symbol at %d", src, i)
+			return
+		}
+		p.tok = token{tokSym, src[i+1 : i+1+k], i}
+		j = i + k + 2
+	case c >= '0' && c <= '9':
+		for j < len(src) && src[j] >= '0' && src[j] <= '9' {
+			j++
+		}
+		p.tok = token{tokInt, src[i:j], i}
+	case isIdentStart(rune(c)):
+		for j < len(src) && isIdentRune(rune(src[j])) {
+			j++
+		}
+		// A trailing apostrophe marks a primed variable; it belongs
+		// to the identifier token. Symbols always follow an operator,
+		// never an identifier, so an apostrophe directly after
+		// identifier characters is a prime, not a symbol's opening.
+		if j < len(src) && src[j] == '\'' {
+			j++
+		}
+		p.tok = token{tokIdent, src[i:j], i}
+	default:
+		for _, op := range [...]string{"&&", "||", "!=", "<=", ">=", "=", "<", ">", "+", "-", "*", "!"} {
+			if strings.HasPrefix(src[i:], op) {
+				p.tok = token{tokOp, op, i}
+				p.pos = i + len(op)
+				return
+			}
+		}
+		p.err = fmt.Errorf("lex %q: unexpected character %q at %d", src, c, i)
+		return
+	}
+	p.pos = j
 }
 
 func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
@@ -146,13 +157,13 @@ func isIdentRune(r rune) bool {
 	return r == '_' || r == '.' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
-func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
-func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
+func (p *parser) peek() token { return p.tok }
+func (p *parser) next() token { t := p.tok; p.scan(); return t }
+func (p *parser) atEOF() bool { return p.tok.kind == tokEOF }
 
 func (p *parser) acceptOp(text string) bool {
-	if t := p.peek(); t.kind == tokOp && t.text == text {
-		p.i++
+	if t := p.tok; t.kind == tokOp && t.text == text {
+		p.scan()
 		return true
 	}
 	return false
@@ -207,7 +218,7 @@ func (p *parser) parseCmp() (Expr, error) {
 	}
 	if t := p.peek(); t.kind == tokOp {
 		if op, ok := cmpOps[t.text]; ok {
-			p.i++
+			p.scan()
 			r, err := p.parseSum()
 			if err != nil {
 				return nil, err
@@ -260,9 +271,14 @@ func (p *parser) parseTerm() (Expr, error) {
 
 func (p *parser) parseFactor() (Expr, error) {
 	t := p.peek()
+	if p.depth == maxNesting {
+		return nil, fmt.Errorf("expression nested deeper than %d levels at %d", maxNesting, t.pos)
+	}
+	p.depth++
+	defer func() { p.depth-- }()
 	switch {
 	case t.kind == tokOp && t.text == "-":
-		p.i++
+		p.scan()
 		x, err := p.parseFactor()
 		if err != nil {
 			return nil, err
@@ -274,14 +290,14 @@ func (p *parser) parseFactor() (Expr, error) {
 		}
 		return Neg(x), nil
 	case t.kind == tokOp && t.text == "!":
-		p.i++
+		p.scan()
 		x, err := p.parseFactor()
 		if err != nil {
 			return nil, err
 		}
 		return Not(x), nil
 	case t.kind == tokLParen:
-		p.i++
+		p.scan()
 		e, err := p.parseOr()
 		if err != nil {
 			return nil, err
@@ -291,17 +307,17 @@ func (p *parser) parseFactor() (Expr, error) {
 		}
 		return e, nil
 	case t.kind == tokInt:
-		p.i++
+		p.scan()
 		v, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("integer literal %q at %d: %w", t.text, t.pos, err)
 		}
 		return IntLit(v), nil
 	case t.kind == tokSym:
-		p.i++
+		p.scan()
 		return SymLit(t.text), nil
 	case t.kind == tokIdent:
-		p.i++
+		p.scan()
 		switch t.text {
 		case "true":
 			return BoolLit(true), nil

@@ -26,8 +26,7 @@
 // every search allocates its own enumerator — so Enumerate and
 // Synthesize are safe to call from multiple goroutines concurrently,
 // provided the caller does not mutate the examples or option slices
-// while a call is in flight. The parallel predicate engine
-// (internal/predicate) relies on this.
+// while a call is in flight.
 package synth
 
 import (
@@ -128,13 +127,13 @@ func SynthesizeContext(ctx context.Context, vars []Var, examples []Example, opts
 	if len(examples) == 0 {
 		return nil, errors.New("synth: no examples")
 	}
-	if err := CheckExamples(examples); err != nil {
+	if err := checkConsistent(examples); err != nil {
 		return nil, err
 	}
 	// Seed pass: reuse a previously synthesised expression when it
 	// already explains this window.
 	for _, seed := range opts.Seeds {
-		if ConsistentWith(seed, examples) {
+		if consistent(seed, examples) {
 			return seed, nil
 		}
 	}
@@ -168,26 +167,11 @@ func Enumerate(vars []Var, examples []Example, opts Options) (expr.Expr, error) 
 	if len(examples) == 0 {
 		return nil, errors.New("synth: no examples")
 	}
-	if err := CheckExamples(examples); err != nil {
+	if err := checkConsistent(examples); err != nil {
 		return nil, err
 	}
 	pools := minePools(vars, examples, opts)
 	return enumerate(context.Background(), vars, examples, pools, opts)
-}
-
-// CheckExamples rejects example sets no function can fit: two examples
-// with the same input valuation but different outputs. Synthesize runs
-// it before its seed pass, so callers replaying the seed pass (the
-// parallel predicate engine) can reproduce the error order exactly.
-func CheckExamples(examples []Example) error {
-	return checkConsistent(examples)
-}
-
-// ConsistentWith reports whether the expression matches every example
-// — the predicate the seed pass uses. Exposed so the parallel
-// predicate engine can replay seed decisions deterministically.
-func ConsistentWith(e expr.Expr, examples []Example) bool {
-	return consistent(e, examples)
 }
 
 func checkConsistent(examples []Example) error {
